@@ -1,249 +1,26 @@
 package ftspanner
 
-// One benchmark per experiment in the internal/bench registry (E1–E14).
-// Each benchmark is a compact, fixed-size slice of the corresponding
-// experiment so that `go test -bench=.` gives per-experiment timing; the
-// full parameter sweeps and tables are regenerated by
-// `go run ./cmd/ftbench`, and `ftbench -json` snapshots the hot-path
-// numbers as BENCH_core.json (see the README's experiment section).
-
 import (
 	"math/rand"
 	"testing"
-
-	"ftspanner/internal/bench"
-	"ftspanner/internal/core"
-	"ftspanner/internal/dist/congest"
-	"ftspanner/internal/dist/decomp"
-	"ftspanner/internal/dist/local"
-	"ftspanner/internal/dk11"
-	"ftspanner/internal/gen"
-	"ftspanner/internal/graph"
-	"ftspanner/internal/lbc"
-	"ftspanner/internal/spanner"
-	"ftspanner/internal/verify"
 )
 
-func benchGNP(b *testing.B, n, deg int) *graph.Graph {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	g, err := gen.GNP(rng, n, float64(deg)/float64(n-1))
+// BenchmarkBuild times the default Build on a 160k-vertex weighted lattice
+// (the benchmark's road_hot graph). It is the CPU-profile source for the
+// build path:
+//
+//	go test -run '^$' -bench BenchmarkBuild -benchtime 10x -cpuprofile build_cpu.pprof .
+//
+// End-to-end numbers come from `go run ./benchmark`, not from here.
+func BenchmarkBuild(b *testing.B) {
+	g, err := LatticeGraph(rand.New(rand.NewSource(1)), 400, 400, 6400, true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g
-}
-
-// BenchmarkE1SizeVsN — Table 1 (Theorem 8): modified greedy on the E1
-// workload shape.
-func BenchmarkE1SizeVsN(b *testing.B) {
-	g := benchGNP(b, 256, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, _, err := core.ModifiedGreedy(g, 2, 2, lbc.Vertex)
-		if err != nil {
+	opts := Options{K: 2, F: 1}
+	for b.Loop() {
+		if _, _, err := Build(g, opts); err != nil {
 			b.Fatal(err)
-		}
-		_ = h.M()
-	}
-}
-
-// BenchmarkE2SizeVsF — Table 2 (Theorem 8): the large-f end of the sweep.
-func BenchmarkE2SizeVsF(b *testing.B) {
-	g := benchGNP(b, 128, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.ModifiedGreedy(g, 2, 8, lbc.Vertex); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE3ApproxVsExact — Table 3 (Theorem 2): the exponential edge test
-// the paper removes, at the largest size the suite runs it.
-func BenchmarkE3ApproxVsExact(b *testing.B) {
-	g := benchGNP(b, 24, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.ExactGreedy(g, 2, 2, lbc.Vertex); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE4LBC — Table 4 (Theorem 4): one gap decision, O((m+n)·alpha).
-func BenchmarkE4LBC(b *testing.B) {
-	g := benchGNP(b, 512, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lbc.Decide(g, 0, 1, 3, 4, lbc.Vertex); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE5Verify — Table 5 (Theorems 5/10): one sampled verification
-// pass over a built spanner.
-func BenchmarkE5Verify(b *testing.B) {
-	g := benchGNP(b, 128, 16)
-	h, _, err := core.ModifiedGreedy(g, 2, 2, lbc.Vertex)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := verify.Sampled(g, h, 3, 2, lbc.Vertex, rng, 20)
-		if err != nil || !rep.OK {
-			b.Fatalf("verification failed: %v %v", rep.Violation, err)
-		}
-	}
-}
-
-// BenchmarkE6TimeVsM — Figure 1 (Theorem 9): construction on the densest
-// E6 point; ns/op across -bench runs is the figure's y-axis.
-func BenchmarkE6TimeVsM(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g, err := gen.GNM(rng, 256, 8192)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.ModifiedGreedy(g, 2, 2, lbc.Vertex); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE7DK11VsGreedy — Table 6 (Theorem 13): one DK11 construction.
-func BenchmarkE7DK11VsGreedy(b *testing.B) {
-	g := benchGNP(b, 128, 24)
-	rng := rand.New(rand.NewSource(4))
-	iters := dk11.DefaultIterations(g.N(), 2)
-	base := func(r *rand.Rand, sub *graph.Graph) (*graph.Graph, error) {
-		return spanner.Greedy(sub, 2)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dk11.Construct(rng, g, 2, iters, base); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE8Local — Table 7 (Theorem 12): the full LOCAL pipeline on a
-// torus (decomposition + cluster spanners).
-func BenchmarkE8Local(b *testing.B) {
-	g, err := gen.Torus(12, 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := local.FTSpanner(g, local.Options{K: 2, F: 1, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE9Congest — Table 8 (Theorem 15): the multiplexed CONGEST run.
-func BenchmarkE9Congest(b *testing.B) {
-	g := benchGNP(b, 64, 10)
-	iters := congest.DefaultIterations(g.N(), 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := congest.FTSpanner(g, 2, 2, iters, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE10BaswanaSen — Table 9 (Theorem 14): one distributed
-// Baswana-Sen run in CONGEST.
-func BenchmarkE10BaswanaSen(b *testing.B) {
-	g := benchGNP(b, 256, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := congest.BaswanaSen(g, 3, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE11EFTvsVFT — Figure 2: the edge-fault construction (the VFT
-// side is BenchmarkE1SizeVsN's workload).
-func BenchmarkE11EFTvsVFT(b *testing.B) {
-	g := benchGNP(b, 256, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.ModifiedGreedy(g, 2, 2, lbc.Edge); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE12Stretch — Figure 3 (Lemma 3): per-edge stretch measurement
-// under one fault set.
-func BenchmarkE12Stretch(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	g, _, err := gen.Geometric(rng, 256, 0.15, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, _, err := core.ModifiedGreedy(g, 2, 2, lbc.Vertex)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := verify.EdgeStretches(g, h, []int{i % g.N(), (i * 7) % g.N()}, lbc.Vertex); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE13OrderAblation — Table 10 (Theorem 10): the explicit-order
-// greedy used by the ablation.
-func BenchmarkE13OrderAblation(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	base, err := gen.GNP(rng, 128, 0.2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := gen.AdversarialWeights(base)
-	order := g.EdgeIDsByWeight()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.ModifiedGreedyWithOrder(g, 2, 1, lbc.Vertex, order); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE14Decomp — Table 11 (Theorem 11): one full padded
-// decomposition on a torus.
-func BenchmarkE14Decomp(b *testing.B) {
-	g, err := gen.Torus(16, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decomp.Padded(g, 0, 0, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFullSuiteQuick runs the entire experiment registry in Quick mode
-// — the end-to-end regeneration cost.
-func BenchmarkFullSuiteQuick(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, e := range bench.All() {
-			if _, err := e.Run(bench.Config{Seed: 1, Quick: true}); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

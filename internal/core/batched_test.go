@@ -105,6 +105,33 @@ func TestModifiedGreedyBatchedIdentical(t *testing.T) {
 	}
 }
 
+// TestModifiedGreedyBatchedIdenticalOnCSR pins the batched builder at its
+// production round tuning on a CSR snapshot of a weighted lattice with
+// shortcuts: at every worker count it runs at least one round and returns
+// the sequential spanner edge for edge.
+func TestModifiedGreedyBatchedIdenticalOnCSR(t *testing.T) {
+	g, err := gen.Lattice(rand.New(rand.NewSource(112)), 40, 40, 80, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr := graph.BuildCSR(g)
+	want, _, err := ModifiedGreedy(csr, 2, 1, lbc.Vertex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4} {
+		ss := sp.NewSearcherSet(workers, csr.N(), csr.EdgeIDLimit())
+		got, stats, err := ModifiedGreedyBatchedWith(ss, csr, 2, 1, lbc.Vertex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGraph(t, want, got)
+		if stats.Rounds < 1 {
+			t.Errorf("w=%d: batched build reported %d rounds", workers, stats.Rounds)
+		}
+	}
+}
+
 // TestModifiedGreedyBatchedDeterministic pins that the round schedule itself
 // — not just the output — is a function of the input alone: Rounds and
 // Redecided must agree for every worker count > 1.

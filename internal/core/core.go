@@ -32,7 +32,7 @@ import (
 // Stretch returns the stretch 2k-1 corresponding to parameter k.
 func Stretch(k int) int { return 2*k - 1 }
 
-// Stats reports construction effort, used by the runtime experiments.
+// Stats reports construction effort.
 type Stats struct {
 	// EdgesConsidered is the number of candidate edges examined (= m).
 	EdgesConsidered int
@@ -96,8 +96,8 @@ func ModifiedGreedy(g graph.View, k, f int, mode lbc.Mode) (*graph.Graph, Stats,
 //
 // The size bound (Theorem 8) holds for every order. Correctness on weighted
 // graphs holds only for nondecreasing weight orders (Theorem 10) — passing
-// another order on a weighted graph is exactly the E13 ablation and may
-// violate the stretch guarantee.
+// another order on a weighted graph may violate the stretch guarantee, as
+// TestWeightOrderingIsLoadBearing shows.
 func ModifiedGreedyWithOrder(g graph.View, k, f int, mode lbc.Mode, order []int) (*graph.Graph, Stats, error) {
 	return modifiedGreedy(nil, g, k, f, mode, order)
 }
@@ -188,8 +188,9 @@ func cloneInts(a []int) []int {
 //
 // The fault-set search enumerates C(n-2, f) vertex sets (or C(|E(H)|, f)
 // edge sets), so this is only feasible for small instances; it exists as the
-// size-optimal baseline for experiment E3. Distances are weighted on
-// weighted graphs (Dijkstra) and hop counts otherwise (BFS).
+// size-optimal baseline TestModifiedVsExactSize compares the modified greedy
+// against. Distances are weighted on weighted graphs (Dijkstra) and hop
+// counts otherwise (BFS).
 func ExactGreedy(g graph.View, k, f int, mode lbc.Mode) (*graph.Graph, Stats, error) {
 	return ExactGreedyParallel(g, k, f, mode, 1)
 }
@@ -383,8 +384,9 @@ func checkOrder(g graph.View, order []int) error {
 }
 
 // SizeBound returns the paper's Theorem 8 size bound k·f^(1-1/k)·n^(1+1/k)
-// without its hidden constant; experiments report measured size divided by
-// this quantity, which should stay bounded as n grows. For f = 0 the
+// without its hidden constant; measured size divided by this quantity
+// should stay bounded as n grows (TestSizeGolden holds it under 3, and the
+// benchmark reports it as core.size_over_bound). For f = 0 the
 // non-fault-tolerant bound n^(1+1/k) is used.
 func SizeBound(n, k, f int) float64 {
 	if n <= 0 || k < 1 {

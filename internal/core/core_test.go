@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -134,51 +135,133 @@ func TestWeightedModifiedGreedy(t *testing.T) {
 	}
 }
 
-// TestWeightOrderingIsLoadBearing is the E13 ablation: on a graph with two
-// vertex-disjoint heavy 3-hop u-v paths plus a light direct edge, running
-// the unweighted greedy in a heavy-first order rejects the light edge (the
-// LBC test sees two short hop-paths and answers NO), which violates the
-// stretch bound. The nondecreasing-weight order of Algorithm 4 never does.
+// TestModifiedGreedyValidAcrossFamilies is Theorems 5 and 10 at f = 2 on
+// three seeded families: |H| is pinned per fault mode and every output
+// verifies exhaustively as a 2-fault-tolerant 3-spanner.
+func TestModifiedGreedyValidAcrossFamilies(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	gnp, err := gen.GNP(rng, 20, 0.35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := gen.GNP(rng, 18, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weighted, err := gen.UniformWeights(rng, base, 1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := gen.Grid(4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		vft, eft int
+	}{
+		{"G(20,.35)", gnp, 50, 50},
+		{"weighted G(18,.4)", weighted, 45, 45},
+		{"grid 4x5", grid, 31, 31},
+	} {
+		for mode, want := range map[lbc.Mode]int{lbc.Vertex: tc.vft, lbc.Edge: tc.eft} {
+			h, _, err := ModifiedGreedy(tc.g, 2, 2, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.M() != want {
+				t.Errorf("%s %v: |H| = %d, want %d", tc.name, mode, h.M(), want)
+			}
+			rep, err := verify.Exhaustive(tc.g, h, 3, 2, mode)
+			if err != nil || !rep.OK {
+				t.Errorf("%s %v: not a valid 2-FT 3-spanner: %v %v", tc.name, mode, rep.Violation, err)
+			}
+		}
+	}
+}
+
+// TestWeightOrderingIsLoadBearing is the Theorem 10 ablation: on a graph
+// with two vertex-disjoint heavy 3-hop u-v paths plus a light direct edge,
+// running the unweighted greedy in a heavy-first order rejects the light
+// edge (the LBC test sees two short hop-paths and answers NO), which
+// violates the stretch bound. The nondecreasing-weight order of Algorithm 4
+// never does. The adversarial_gnp subtest shows the same on a random graph.
 func TestWeightOrderingIsLoadBearing(t *testing.T) {
-	g := graph.NewWeighted(6)
-	heavy := []int{
-		g.MustAddEdgeW(0, 1, 10), // path A: 0-1-2-3
-		g.MustAddEdgeW(1, 2, 10),
-		g.MustAddEdgeW(2, 3, 10),
-		g.MustAddEdgeW(0, 4, 10), // path B: 0-4-5-3
-		g.MustAddEdgeW(4, 5, 10),
-		g.MustAddEdgeW(5, 3, 10),
-	}
-	light := g.MustAddEdgeW(0, 3, 1)
-	badOrder := append(append([]int{}, heavy...), light)
+	t.Run("two_heavy_paths", func(t *testing.T) {
+		g := graph.NewWeighted(6)
+		heavy := []int{
+			g.MustAddEdgeW(0, 1, 10), // path A: 0-1-2-3
+			g.MustAddEdgeW(1, 2, 10),
+			g.MustAddEdgeW(2, 3, 10),
+			g.MustAddEdgeW(0, 4, 10), // path B: 0-4-5-3
+			g.MustAddEdgeW(4, 5, 10),
+			g.MustAddEdgeW(5, 3, 10),
+		}
+		light := g.MustAddEdgeW(0, 3, 1)
+		badOrder := append(append([]int{}, heavy...), light)
 
-	h, _, err := ModifiedGreedyWithOrder(g, 2, 1, lbc.Vertex, badOrder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.HasEdge(0, 3) {
-		t.Fatal("bad order unexpectedly kept the light edge; ablation premise broken")
-	}
-	viol, err := verify.CheckUnderFaults(g, h, 3, nil, lbc.Vertex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viol == nil {
-		t.Fatal("bad-order spanner has no violation; ablation premise broken")
-	}
+		h, _, err := ModifiedGreedyWithOrder(g, 2, 1, lbc.Vertex, badOrder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.HasEdge(0, 3) {
+			t.Fatal("bad order unexpectedly kept the light edge; ablation premise broken")
+		}
+		viol, err := verify.CheckUnderFaults(g, h, 3, nil, lbc.Vertex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viol == nil {
+			t.Fatal("bad-order spanner has no violation; ablation premise broken")
+		}
 
-	// The correct (sorted) order keeps it and verifies exhaustively.
-	h, _, err = ModifiedGreedy(g, 2, 1, lbc.Vertex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.HasEdge(0, 3) {
-		t.Error("sorted order dropped the light edge")
-	}
-	rep, err := verify.Exhaustive(g, h, 3, 1, lbc.Vertex)
-	if err != nil || !rep.OK {
-		t.Errorf("sorted-order spanner invalid: %v %v", rep.Violation, err)
-	}
+		// The correct (sorted) order keeps it and verifies exhaustively.
+		h, _, err = ModifiedGreedy(g, 2, 1, lbc.Vertex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h.HasEdge(0, 3) {
+			t.Error("sorted order dropped the light edge")
+		}
+		rep, err := verify.Exhaustive(g, h, 3, 1, lbc.Vertex)
+		if err != nil || !rep.OK {
+			t.Errorf("sorted-order spanner invalid: %v %v", rep.Violation, err)
+		}
+	})
+
+	// Weights fall with edge ID, so insertion order is heaviest first.
+	t.Run("adversarial_gnp", func(t *testing.T) {
+		base, err := gen.GNP(rand.New(rand.NewSource(13)), 40, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv := gen.AdversarialWeights(base)
+		insertion := make([]int, adv.M())
+		for i := range insertion {
+			insertion[i] = i
+		}
+		for _, tc := range []struct {
+			name  string
+			order []int
+			valid bool
+		}{
+			{"sorted", adv.EdgeIDsByWeight(), true},
+			{"insertion", insertion, false},
+		} {
+			h, _, err := ModifiedGreedyWithOrder(adv, 2, 1, lbc.Vertex, tc.order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := verify.Exhaustive(adv, h, 3, 1, lbc.Vertex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.OK != tc.valid {
+				t.Errorf("adversarial G(40,.25), %s order: valid = %v, want %v", tc.name, rep.OK, tc.valid)
+			}
+		}
+	})
 }
 
 // TestF0GirthInvariant: with f=0 the modified greedy degenerates to the
@@ -267,6 +350,93 @@ func TestSizeBoundShape(t *testing.T) {
 	}
 }
 
+// TestSizeGolden pins |H| on one seeded G(96, 0.25) per (k, f, mode) and
+// checks the Theorem 8 size claims on the measured sizes, one subtest each:
+// every size is within TestSizeBoundShape's 3x of SizeBound, doubling f less
+// than doubles the size (the f^(1-1/k) growth), and edge faults never cost
+// more edges than vertex faults.
+func TestSizeGolden(t *testing.T) {
+	g, err := gen.GNP(rand.New(rand.NewSource(11)), 96, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		k, f int
+		mode lbc.Mode
+	}
+	want := map[key]int{
+		{2, 1, lbc.Vertex}: 355, {2, 2, lbc.Vertex}: 436, {2, 4, lbc.Vertex}: 589,
+		{3, 1, lbc.Vertex}: 193, {3, 2, lbc.Vertex}: 270, {3, 4, lbc.Vertex}: 428,
+		{2, 1, lbc.Edge}: 355, {2, 2, lbc.Edge}: 436, {2, 4, lbc.Edge}: 589,
+		{3, 1, lbc.Edge}: 186, {3, 2, lbc.Edge}: 269, {3, 4, lbc.Edge}: 427,
+	}
+	got := make(map[key]int, len(want))
+	for c, size := range want {
+		h, _, err := ModifiedGreedy(g, c.k, c.f, c.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[c] = h.M(); got[c] != size {
+			t.Errorf("%+v: |H| = %d, want %d", c, got[c], size)
+		}
+	}
+	t.Run("within_size_bound", func(t *testing.T) {
+		for c, size := range got {
+			if bound := SizeBound(g.N(), c.k, c.f); float64(size) > 3*bound {
+				t.Errorf("%+v: |H| = %d exceeds 3x the Theorem 8 bound %.0f", c, size, bound)
+			}
+		}
+	})
+	t.Run("sublinear_in_f", func(t *testing.T) {
+		for c, size := range got {
+			if double, ok := got[key{c.k, 2 * c.f, c.mode}]; ok && double >= 2*size {
+				t.Errorf("%+v: |H| grows from %d to %d when f doubles", c, size, double)
+			}
+		}
+	})
+	t.Run("edge_faults_no_larger", func(t *testing.T) {
+		for c, size := range got {
+			if vft := got[key{c.k, c.f, lbc.Vertex}]; c.mode == lbc.Edge && size > vft {
+				t.Errorf("%+v: EFT |H| = %d exceeds VFT |H| = %d", c, size, vft)
+			}
+		}
+	})
+}
+
+// TestStretchUnderRandomFaultsGolden is Lemma 3 + Theorem 10 measured: on
+// one seeded weighted geometric graph, the worst per-edge stretch over six
+// random vertex fault sets of size 2 is pinned per k and stays within 2k-1.
+func TestStretchUnderRandomFaultsGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	g, _, err := gen.Geometric(rng, 96, 0.15, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[int]float64{2: 1.7775, 3: 1.6713} {
+		h, _, err := ModifiedGreedy(g, k, 2, lbc.Vertex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults := rand.New(rand.NewSource(int64(k)))
+		worst := 0.0
+		for trial := 0; trial < 6; trial++ {
+			ratios, err := verify.EdgeStretches(g, h, []int{faults.Intn(g.N()), faults.Intn(g.N())}, lbc.Vertex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range ratios {
+				worst = math.Max(worst, r)
+			}
+		}
+		if math.Abs(worst-want) > 1e-4 {
+			t.Errorf("k=%d: max stretch %.6f, want %.4f", k, worst, want)
+		}
+		if worst > float64(Stretch(k)) {
+			t.Errorf("k=%d: max stretch %.6f exceeds 2k-1 = %d", k, worst, Stretch(k))
+		}
+	}
+}
+
 func TestSizeBoundValues(t *testing.T) {
 	if got := SizeBound(0, 2, 1); got != 0 {
 		t.Errorf("SizeBound(0,2,1) = %v", got)
@@ -291,7 +461,7 @@ func TestSizeBoundValues(t *testing.T) {
 	}
 }
 
-// TestModifiedVsExactSize: the paper's headline comparison (E3 in miniature).
+// TestModifiedVsExactSize: the paper's headline comparison (Theorem 2).
 // The modified greedy may add more edges than the size-optimal exponential
 // greedy, but by Theorem 8 at most an O(k) factor more in aggregate. On tiny
 // instances we assert a generous factor and validity of both.
@@ -313,6 +483,42 @@ func TestModifiedVsExactSize(t *testing.T) {
 		if float64(approx.M()) > 3*float64(exact.M())+3 {
 			t.Errorf("trial %d: modified %d edges vs exact %d — gap far above O(k)=2 expectation",
 				trial, approx.M(), exact.M())
+		}
+	}
+}
+
+// TestModifiedVsExactGolden pins the Theorem 2 trade-off on one seeded
+// G(16, 0.4): per (k, f), the exact and the modified greedy sizes, the
+// modified greedy at most k times the exact, and both outputs exhaustively
+// valid f-VFT (2k-1)-spanners.
+func TestModifiedVsExactGolden(t *testing.T) {
+	g, err := gen.GNP(rand.New(rand.NewSource(3)), 16, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct{ k, f, exact, modified int }{
+		{2, 1, 31, 31}, {2, 2, 36, 36}, {3, 1, 26, 26}, {3, 2, 32, 34},
+	} {
+		exact, _, err := ExactGreedy(g, want.k, want.f, lbc.Vertex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modified, _, err := ModifiedGreedy(g, want.k, want.f, lbc.Vertex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.M() != want.exact || modified.M() != want.modified {
+			t.Errorf("k=%d f=%d: |exact| = %d, |modified| = %d, want %d, %d",
+				want.k, want.f, exact.M(), modified.M(), want.exact, want.modified)
+		}
+		if modified.M() > want.k*exact.M() {
+			t.Errorf("k=%d f=%d: |modified| = %d exceeds k x |exact| = %d", want.k, want.f, modified.M(), want.k*exact.M())
+		}
+		for name, h := range map[string]*graph.Graph{"exact": exact, "modified": modified} {
+			rep, err := verify.Exhaustive(g, h, float64(Stretch(want.k)), want.f, lbc.Vertex)
+			if err != nil || !rep.OK {
+				t.Errorf("k=%d f=%d: %s greedy output invalid: %v %v", want.k, want.f, name, rep.Violation, err)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -135,6 +136,75 @@ func TestFTSpannerValidityAndCongestionBound(t *testing.T) {
 		}
 		if res.LogicalRounds != expectedRounds(2) {
 			t.Errorf("f=%d: %d logical rounds, want %d", f, res.LogicalRounds, expectedRounds(2))
+		}
+	}
+}
+
+// TestBaswanaSenGolden pins Theorem 14 on one seeded G(64, 0.25) and a
+// weighted copy: per k, |H| within k*n^(1+1/k), the O(k^2) schedule with
+// charged == logical rounds, and the (2k-1) stretch.
+func TestBaswanaSenGolden(t *testing.T) {
+	g := gnp(t, 64, 0.25, 10)
+	weighted, err := gen.UniformWeights(rand.New(rand.NewSource(11)), g, 1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	for _, want := range []struct {
+		name  string
+		g     *graph.Graph
+		k     int
+		edges int
+	}{
+		{"unweighted", g, 2, 427}, {"unweighted", g, 3, 316},
+		{"weighted", weighted, 2, 440}, {"weighted", weighted, 3, 366},
+	} {
+		h, res, err := BaswanaSen(want.g, want.k, int64(want.k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.M() != want.edges {
+			t.Errorf("%s k=%d: |H| = %d, want %d", want.name, want.k, h.M(), want.edges)
+		}
+		if bound := float64(want.k) * math.Pow(64, 1+1/float64(want.k)); float64(h.M()) > bound {
+			t.Errorf("%s k=%d: |H| = %d exceeds k*n^(1+1/k) = %.0f", want.name, want.k, h.M(), bound)
+		}
+		if res.LogicalRounds != expectedRounds(want.k) || res.ChargedRounds != res.LogicalRounds {
+			t.Errorf("%s k=%d: logical %d, charged %d, want both %d",
+				want.name, want.k, res.LogicalRounds, res.ChargedRounds, expectedRounds(want.k))
+		}
+		rep, err := verify.Sampled(want.g, h, float64(2*want.k-1), 0, lbc.Vertex, rng, 1)
+		if err != nil || !rep.OK {
+			t.Errorf("%s k=%d: stretch violated: %v %v", want.name, want.k, rep.Violation, err)
+		}
+	}
+}
+
+// TestFTSpannerRoundsGolden pins Theorem 15 on one seeded G(64, 0.2): per f,
+// the charged rounds and |H| (at n = 64 the DK11 union keeps every edge),
+// with charged rounds below serializing the DK11 iterations and the spanner
+// valid under sampled fault sets.
+func TestFTSpannerRoundsGolden(t *testing.T) {
+	g := gnp(t, 64, 0.2, 13)
+	rng := rand.New(rand.NewSource(14))
+	for _, want := range []struct{ f, charged, edges int }{
+		{1, 51, 430},
+		{2, 35, 430},
+	} {
+		iters := DefaultIterations(g.N(), want.f)
+		h, res, err := FTSpanner(g, 2, want.f, iters, int64(want.f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ChargedRounds != want.charged || h.M() != want.edges {
+			t.Errorf("f=%d: charged %d rounds, |H| = %d, want %d, %d", want.f, res.ChargedRounds, h.M(), want.charged, want.edges)
+		}
+		if serialized := iters * (res.LogicalRounds - 1); res.ChargedRounds >= serialized {
+			t.Errorf("f=%d: charged %d rounds, not below serialized %d", want.f, res.ChargedRounds, serialized)
+		}
+		rep, err := verify.Sampled(g, h, 3, want.f, lbc.Vertex, rng, 40)
+		if err != nil || !rep.OK {
+			t.Errorf("f=%d: sampled verification failed: %v %v", want.f, rep.Violation, err)
 		}
 	}
 }

@@ -32,10 +32,10 @@ import (
 // DefaultBeta is the shift rate used when Padded is called with beta = 0:
 // large enough to keep cluster radii (and hence LOCAL round counts) small,
 // small enough that a partition covers a constant fraction of the edges.
-// Empirically (experiment E14 sweeps the tradeoff) 0.6 roughly halves the
-// cluster diameters of 0.3 on mesh-like graphs at the cost of ~2x the
-// partitions, which is the better side of the trade for the Theorem 12
-// round bound.
+// A larger beta gives more, smaller clusters and covers fewer edges per
+// partition (TestPaddedBetaTradeoff pins the direction); 0.6 takes the
+// small-diameter side at the cost of more partitions, which is the better
+// side of the trade for the Theorem 12 round bound.
 const DefaultBeta = 0.6
 
 // maxAutoPartitions bounds the partitions == 0 coverage loop. Full coverage

@@ -38,6 +38,46 @@ func TestPaddedFullCoverage(t *testing.T) {
 	}
 }
 
+// TestPaddedBetaSweepGolden pins Theorem 11 on a 16x16 torus across the
+// shift rate: per beta, the partition count, rounds, single-partition
+// coverage and largest cluster diameter, with every edge covered.
+func TestPaddedBetaSweepGolden(t *testing.T) {
+	g, err := gen.Torus(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		beta                          float64
+		partitions, rounds, one, diam int
+	}{
+		{0.15, 3, 16, 472, 16},
+		{0.3, 5, 12, 397, 20},
+		{0.6, 8, 9, 309, 16},
+	} {
+		one, err := Padded(g, want.beta, 1, 21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := Padded(g, want.beta, 0, 22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diam, err := full.MaxClusterHopDiameter(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Centers) != want.partitions || full.Rounds != want.rounds ||
+			one.CoveredEdges(g) != want.one || diam != want.diam {
+			t.Errorf("beta=%v: partitions=%d rounds=%d one-partition coverage=%d diam=%d, want %d %d %d %d",
+				want.beta, len(full.Centers), full.Rounds, one.CoveredEdges(g), diam,
+				want.partitions, want.rounds, want.one, want.diam)
+		}
+		if got := full.CoveredEdges(g); got != g.M() {
+			t.Errorf("beta=%v: covered %d/%d edges", want.beta, got, g.M())
+		}
+	}
+}
+
 func TestPaddedPartitionInvariants(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		d, err := Padded(g, 0.3, 3, 2)

@@ -107,6 +107,35 @@ func TestFTSpannerValidity(t *testing.T) {
 	}
 }
 
+// TestFTSpannerGolden pins Theorem 12 on one seeded connected G(96, 0.15):
+// per f, the total and decomposition rounds, the largest cluster diameter
+// and |H|, with the spanner valid under sampled fault sets.
+func TestFTSpannerGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	g, err := gen.GNPConnected(rng, 96, 0.15, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct{ f, rounds, decomp, diam, edges int }{
+		{1, 11, 3, 3, 355},
+		{2, 11, 3, 3, 450},
+	} {
+		res, err := FTSpanner(g, Options{K: 2, F: want.f, Seed: int64(want.f)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != want.rounds || res.DecompRounds != want.decomp ||
+			res.MaxClusterDiameter != want.diam || res.Spanner.M() != want.edges {
+			t.Errorf("f=%d: rounds=%d decomp=%d diam=%d |H|=%d, want %d %d %d %d", want.f, res.Rounds,
+				res.DecompRounds, res.MaxClusterDiameter, res.Spanner.M(), want.rounds, want.decomp, want.diam, want.edges)
+		}
+		rep, err := verify.Sampled(g, res.Spanner, 3, want.f, lbc.Vertex, rng, 40)
+		if err != nil || !rep.OK {
+			t.Errorf("f=%d: sampled verification failed: %v %v", want.f, rep.Violation, err)
+		}
+	}
+}
+
 func TestFTSpannerRejectsBadInputs(t *testing.T) {
 	g := torus(t, 4, 4)
 	if _, err := FTSpanner(nil, Options{K: 2, F: 1}); err == nil {

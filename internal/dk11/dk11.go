@@ -11,8 +11,9 @@
 // O(f^(2-1/k)·n^(1+1/k)·log n) bound.
 //
 // The paper's CONGEST algorithm (Theorem 15) is exactly this reduction with
-// Baswana–Sen as A, so this package is both an experimental baseline (E7)
-// and the reference the distributed implementation is validated against.
+// Baswana–Sen as A, so this package is both the size baseline the modified
+// greedy beats (TestModifiedGreedySparserThanDK11) and the reference the
+// distributed implementation is validated against.
 package dk11
 
 import (

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ftspanner/internal/core"
 	"ftspanner/internal/gen"
 	"ftspanner/internal/graph"
 	"ftspanner/internal/lbc"
@@ -143,6 +144,40 @@ func TestFaultToleranceWithBaswanaSen(t *testing.T) {
 	}
 	if !rep.OK {
 		t.Fatalf("DK11+BaswanaSen not 2-VFT: %v", rep.Violation)
+	}
+}
+
+// TestModifiedGreedySparserThanDK11 pins the Theorem 13 vs Theorem 2 size
+// comparison on one seeded G(96, 0.25) at k = 2: per f, the modified greedy
+// and DK11 (canonical iterations over the classic greedy) sizes, with the
+// modified greedy strictly sparser at every f.
+func TestModifiedGreedySparserThanDK11(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	g, err := gen.GNP(rng, 96, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A slice, not a map: the DK11 runs share rng, so the order is part of
+	// the instance.
+	for _, want := range []struct{ f, greedy, dk11 int }{
+		{1, 367, 1044},
+		{2, 453, 1029},
+		{4, 597, 1102},
+	} {
+		h, _, err := core.ModifiedGreedy(g, 2, want.f, lbc.Vertex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dk, err := Construct(rng, g, want.f, DefaultIterations(g.N(), want.f), greedyBase(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.M() != want.greedy || dk.M() != want.dk11 {
+			t.Errorf("f=%d: |greedy| = %d, |dk11| = %d, want %d, %d", want.f, h.M(), dk.M(), want.greedy, want.dk11)
+		}
+		if h.M() >= dk.M() {
+			t.Errorf("f=%d: modified greedy %d edges, DK11 %d: greedy not sparser", want.f, h.M(), dk.M())
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package gen generates the synthetic graph workloads used by the examples,
-// tests, and the experiment harness.
+// tests, and the benchmark.
 //
 // The paper's theorems quantify over all graphs, so the reproduction sweeps a
 // matrix of graph families: dense/sparse random graphs, geometric graphs

@@ -47,7 +47,8 @@ func Unweighted(g *graph.Graph) *graph.Graph {
 // AdversarialWeights returns a weighted copy of g where weights strongly
 // decrease with edge ID (later edges are much lighter). Processing edges in
 // insertion order on such a graph is the worst case for greedy spanner
-// algorithms that ignore weights — the E13 ordering-ablation workload.
+// algorithms that ignore weights, as TestWeightOrderingIsLoadBearing in
+// internal/core shows.
 func AdversarialWeights(g *graph.Graph) *graph.Graph {
 	out := graph.NewWeighted(g.N())
 	m := g.M()

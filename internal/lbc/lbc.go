@@ -17,8 +17,8 @@
 // it decides LBC(t, α) in O((m+n)·α) time.
 //
 // Exact implements a brute-force minimum length-bounded cut by subset
-// enumeration. It exists as a test oracle and for the E4 experiment; its
-// running time is exponential in the cut size.
+// enumeration. It exists as the test oracle TestGapGuarantee checks Decide
+// against; its running time is exponential in the cut size.
 package lbc
 
 import (
@@ -79,8 +79,8 @@ type Result struct {
 	// Like Cut, PathEdges from DecideWith aliases searcher scratch; copy to
 	// retain.
 	PathEdges []int
-	// Passes is the number of BFS passes performed (at most alpha+1),
-	// exposed for the E4 runtime experiment.
+	// Passes is the number of BFS passes performed (at most alpha+1, the
+	// Theorem 4 runtime shape TestDecidePassBound pins).
 	Passes int
 }
 
@@ -245,7 +245,7 @@ func IsCut(g graph.View, u, v, t int, cut []int, mode Mode) (bool, error) {
 // Exact computes a minimum length-t-cut for u, v in g by enumerating subsets
 // of increasing size up to maxSize. It returns the cut and found=true if a
 // cut of size at most maxSize exists. Running time is O(C(n, maxSize)·(m+n))
-// — use only on small instances (test oracle, E3/E4 experiments).
+// — use only on small instances (the test oracle of TestGapGuarantee).
 func Exact(g graph.View, u, v, t, maxSize int, mode Mode) (cut []int, found bool, err error) {
 	if err := validate(g, u, v, t, 0, mode); err != nil {
 		return nil, false, err

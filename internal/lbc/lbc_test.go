@@ -9,14 +9,17 @@ import (
 	"ftspanner/internal/sp"
 )
 
-// twoDisjointPaths builds a graph with exactly two internally-disjoint u-v
+// disjointPaths builds a graph whose only u-v paths are internally-disjoint
 // paths of the given hop lengths. Returns g, u, v.
-func twoDisjointPaths(len1, len2 int) (*graph.Graph, int, int) {
-	n := 2 + (len1 - 1) + (len2 - 1)
+func disjointPaths(lens ...int) (*graph.Graph, int, int) {
+	n := 2
+	for _, l := range lens {
+		n += l - 1
+	}
 	g := graph.New(n)
 	u, v := 0, 1
 	next := 2
-	for _, l := range []int{len1, len2} {
+	for _, l := range lens {
 		prev := u
 		for i := 0; i < l-1; i++ {
 			g.MustAddEdge(prev, next)
@@ -67,7 +70,7 @@ func TestDecideNoWhenWellConnected(t *testing.T) {
 
 func TestDecideEdgeMode(t *testing.T) {
 	// Two disjoint u-v paths of lengths 2 and 3: min length-3 edge cut is 2.
-	g, u, v := twoDisjointPaths(2, 3)
+	g, u, v := disjointPaths(2, 3)
 	res, err := Decide(g, u, v, 3, 2, Edge)
 	if err != nil {
 		t.Fatalf("Decide: %v", err)
@@ -123,7 +126,7 @@ func TestDecideValidation(t *testing.T) {
 }
 
 func TestIsCut(t *testing.T) {
-	g, u, v := twoDisjointPaths(2, 2) // u-a-v and u-b-v
+	g, u, v := disjointPaths(2, 2) // u-a-v and u-b-v
 	ok, err := IsCut(g, u, v, 2, []int{2, 3}, Vertex)
 	if err != nil || !ok {
 		t.Errorf("IsCut({2,3}) = %v, %v; want true", ok, err)
@@ -146,7 +149,7 @@ func TestIsCut(t *testing.T) {
 }
 
 func TestExactVertex(t *testing.T) {
-	g, u, v := twoDisjointPaths(2, 3)
+	g, u, v := disjointPaths(2, 3)
 	// Min length-3 vertex cut: one vertex from each path = 2.
 	cut, found, err := Exact(g, u, v, 3, 3, Vertex)
 	if err != nil {
@@ -229,6 +232,45 @@ func TestGapGuarantee(t *testing.T) {
 					t.Fatalf("trial %d %v: Decide said NO but a cut of size <= %d exists",
 						trial, mode, alpha)
 				}
+			}
+		}
+	}
+}
+
+// TestGapDecisionGolden pins Algorithm 2 on instances of known minimum cut:
+// p internally-disjoint h-hop u-v paths need exactly p vertices to cut at
+// t = h. Per alpha it pins the answer and the BFS passes, which respect the
+// Theorem 4 gap (YES when the cut is <= alpha, NO when it is > alpha*t); a
+// YES certificate is a valid cut of size <= alpha*t.
+func TestGapDecisionGolden(t *testing.T) {
+	for _, tc := range []struct {
+		paths         []int
+		alpha, passes int
+		yes           bool
+	}{
+		{[]int{3, 3}, 0, 1, false}, {[]int{3, 3}, 1, 2, false},
+		{[]int{3, 3}, 2, 3, true}, {[]int{3, 3}, 4, 3, true},
+		{[]int{3, 3, 3}, 0, 1, false}, {[]int{3, 3, 3}, 2, 3, false},
+		{[]int{3, 3, 3}, 3, 4, true}, {[]int{3, 3, 3}, 5, 4, true},
+		{[]int{2, 2, 2, 2}, 0, 1, false}, {[]int{2, 2, 2, 2}, 3, 4, false},
+		{[]int{2, 2, 2, 2}, 4, 5, true}, {[]int{2, 2, 2, 2}, 6, 5, true},
+	} {
+		g, u, v := disjointPaths(tc.paths...)
+		minCut, hops := len(tc.paths), tc.paths[0]
+		res, err := Decide(g, u, v, hops, tc.alpha, Vertex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Yes != tc.yes || res.Passes != tc.passes {
+			t.Errorf("%v alpha=%d: yes=%v after %d passes, want yes=%v after %d",
+				tc.paths, tc.alpha, res.Yes, res.Passes, tc.yes, tc.passes)
+		}
+		if (minCut <= tc.alpha && !res.Yes) || (minCut > tc.alpha*hops && res.Yes) {
+			t.Errorf("%v alpha=%d: answer yes=%v breaks the gap for min cut %d", tc.paths, tc.alpha, res.Yes, minCut)
+		}
+		if res.Yes {
+			if ok, err := IsCut(g, u, v, hops, res.Cut, Vertex); err != nil || !ok || len(res.Cut) > tc.alpha*hops {
+				t.Errorf("%v alpha=%d: certificate %v is not a cut of size <= %d", tc.paths, tc.alpha, res.Cut, tc.alpha*hops)
 			}
 		}
 	}

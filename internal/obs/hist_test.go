@@ -19,8 +19,8 @@ func sortedQuantile(sorted []int64, q float64) int64 {
 	return sorted[idx]
 }
 
-// sampleSets returns deterministic latency-shaped workloads: uniform,
-// heavy-tailed, bimodal, and constant.
+// sampleSets returns deterministic workloads: uniform, heavy-tailed,
+// bimodal, log-normal, fixed-point stretch ratios, and constant.
 func sampleSets() map[string][]int64 {
 	sets := make(map[string][]int64)
 	rng := rand.New(rand.NewPCG(7, 11))
@@ -44,6 +44,18 @@ func sampleSets() map[string][]int64 {
 		}
 	}
 	sets["bimodal"] = bimodal
+	lognormal := make([]int64, 20000)
+	for i := range lognormal {
+		// Service latencies: the bulk near 5us, a heavy right tail.
+		lognormal[i] = int64(math.Exp(rng.NormFloat64()*1.2 + 8.5))
+	}
+	sets["lognormal"] = lognormal
+	stretch := make([]int64, 20000)
+	for i := range stretch {
+		// Stretch ratios 1..3 in 1e6 fixed point: every sample is >= 1e6.
+		stretch[i] = int64((1 + 2*rng.Float64()) * 1e6)
+	}
+	sets["stretch_fixed_point"] = stretch
 	sets["constant"] = []int64{1234, 1234, 1234, 1234}
 	return sets
 }
@@ -83,31 +95,33 @@ func TestBucketBoundsRoundTrip(t *testing.T) {
 
 func TestQuantileMatchesSortedReference(t *testing.T) {
 	for name, samples := range sampleSets() {
-		h := NewHistogram()
-		var sum int64
-		for _, v := range samples {
-			h.Record(v)
-			sum += v
-		}
-		sorted := append([]int64(nil), samples...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		snap := h.Snapshot()
-		if snap.Count != uint64(len(samples)) || snap.Sum != sum {
-			t.Fatalf("%s: count/sum = %d/%d, want %d/%d", name, snap.Count, snap.Sum, len(samples), sum)
-		}
-		if snap.Min != sorted[0] || snap.Max != sorted[len(sorted)-1] {
-			t.Fatalf("%s: min/max = %d/%d, want %d/%d", name, snap.Min, snap.Max, sorted[0], sorted[len(sorted)-1])
-		}
-		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
-			got := snap.Quantile(q)
-			want := sortedQuantile(sorted, q)
-			// The histogram reports the rank-selected sample's bucket upper
-			// bound, so it can only exceed the exact value, by at most one
-			// bucket's width.
-			if got < want || float64(got) > float64(want)*(1+Resolution)+1 {
-				t.Fatalf("%s: q%.3f = %d, want within [%d, %d*(1+%.4f)+1]", name, q, got, want, want, Resolution)
+		t.Run(name, func(t *testing.T) {
+			h := NewHistogram()
+			var sum int64
+			for _, v := range samples {
+				h.Record(v)
+				sum += v
 			}
-		}
+			sorted := append([]int64(nil), samples...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+			snap := h.Snapshot()
+			if snap.Count != uint64(len(samples)) || snap.Sum != sum {
+				t.Fatalf("count/sum = %d/%d, want %d/%d", snap.Count, snap.Sum, len(samples), sum)
+			}
+			if snap.Min != sorted[0] || snap.Max != sorted[len(sorted)-1] {
+				t.Fatalf("min/max = %d/%d, want %d/%d", snap.Min, snap.Max, sorted[0], sorted[len(sorted)-1])
+			}
+			for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+				got := snap.Quantile(q)
+				want := sortedQuantile(sorted, q)
+				// The histogram reports the rank-selected sample's bucket upper
+				// bound, so it can only exceed the exact value, by at most one
+				// bucket's width.
+				if got < want || float64(got) > float64(want)*(1+Resolution)+1 {
+					t.Fatalf("q%.3f = %d, want within [%d, %d*(1+%.4f)+1]", q, got, want, want, Resolution)
+				}
+			}
+		})
 	}
 }
 

@@ -6,10 +6,7 @@
 // The package exists so the hot paths can be measured without being
 // perturbed: every instrument is safe for concurrent use, Record/Observe
 // and counter updates are wait-free (a handful of atomic adds, no locks),
-// and none of them allocate after construction. The same histogram type
-// backs both the live /metrics endpoint on ftserve and the offline
-// quantiles in internal/bench, so server and bench report percentiles
-// from one audited implementation.
+// and none of them allocate after construction.
 package obs
 
 import (

@@ -33,7 +33,8 @@ import (
 // reads finish.
 //
 // Errors return {"error": "..."} with status 400 (bad request), 404, 405
-// (method not allowed), 429 + Retry-After (apply queue full), or 503
+// (method not allowed), 413 (a POST body over maxBodyBytes), 429 +
+// Retry-After (apply queue full), or 503
 // (degraded / not ready / query deadline exceeded). Distances are
 // JSON-safe: a disconnected pair has "reachable": false and distance -1
 // (JSON cannot carry +Inf).
@@ -87,6 +88,21 @@ type BatchResponse struct {
 
 type errorResponse struct {
 	Error string `json:"error"`
+}
+
+// maxBodyBytes caps a POST /query or /batch body; a longer one gets 413.
+// A batch update is about 30 bytes of JSON, so 1 MiB holds some 35k of
+// them, orders of magnitude above the batches the repo's clients send.
+const maxBodyBytes = 1 << 20
+
+// decodeStatus is the status for a request that failed to decode: 413 when
+// its body passed maxBodyBytes, 400 otherwise.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // SnapshotResponse is the GET /snapshot reply: the head epoch's state in
@@ -185,9 +201,9 @@ func NewHTTPHandlerOpts(o *Oracle, opts HandlerOptions) http.Handler {
 			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{fmt.Sprintf("method %s not allowed (use GET or POST)", r.Method)})
 			return
 		}
-		req, err := decodeQueryRequest(r, o.Config().Mode)
+		req, err := decodeQueryRequest(w, r, o.Config().Mode)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+			writeJSON(w, decodeStatus(err), errorResponse{err.Error()})
 			return
 		}
 		start := time.Now()
@@ -250,8 +266,8 @@ func NewHTTPHandlerOpts(o *Oracle, opts HandlerOptions) http.Handler {
 			return
 		}
 		var req BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("decode batch: %v", err)})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+			writeJSON(w, decodeStatus(err), errorResponse{fmt.Sprintf("decode batch: %v", err)})
 			return
 		}
 		b := dynamic.Batch{}
@@ -309,12 +325,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // u, v, faults, no_cache, max_distance). GET fault syntax follows the
 // oracle's mode:
 // "3,17" vertex IDs, or "3-17,4-9" endpoint pairs.
-func decodeQueryRequest(r *http.Request, mode lbc.Mode) (QueryRequest, error) {
+func decodeQueryRequest(w http.ResponseWriter, r *http.Request, mode lbc.Mode) (QueryRequest, error) {
 	var req QueryRequest
 	switch r.Method {
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return req, fmt.Errorf("decode query: %v", err)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+			return req, fmt.Errorf("decode query: %w", err)
 		}
 		return req, nil
 	case http.MethodGet:

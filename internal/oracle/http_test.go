@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"ftspanner/internal/gen"
@@ -180,6 +181,37 @@ func TestHTTPErrors(t *testing.T) {
 				t.Fatal("error response carried no message")
 			}
 		})
+	}
+}
+
+// A POST body over maxBodyBytes is refused with 413 on both body-carrying
+// endpoints, and the next normal query is served. The handler is driven
+// directly: a real server lingers 500ms before closing such a connection.
+func TestHTTPOversizedBodyIs413(t *testing.T) {
+	o, err := New(gen.Complete(4), Config{K: 2, F: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHTTPHandler(o)
+	serve := func(method, target, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		return rec.Code
+	}
+	padding := strings.Repeat(" ", maxBodyBytes)
+	for path, body := range map[string]string{
+		"/query": `{"u":0,"v":3}`,
+		"/batch": `{"delete":[{"u":0,"v":3}]}`,
+	} {
+		if code := serve(http.MethodPost, path, padding+body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(padding)+len(body), code)
+		}
+		if code := serve(http.MethodPost, path, body); code != http.StatusOK {
+			t.Errorf("POST %s with the same body unpadded: status %d, want 200", path, code)
+		}
+	}
+	if code := serve(http.MethodGet, "/query?u=0&v=3", ""); code != http.StatusOK {
+		t.Errorf("GET /query after the 413s: status %d, want 200", code)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestSampledParallelEquivalence(t *testing.T) {
 }
 
 // BenchmarkExhaustiveP1 / P4 measure the parallel verification speedup;
-// they back the BENCH_core.json points (>2x at P4 on a >= 4-core runner).
+// TestExhaustiveParallelEquivalence pins that both report the same result.
 func benchmarkExhaustive(b *testing.B, workers int) {
 	rng := rand.New(rand.NewSource(93))
 	g, err := gen.GNP(rng, 28, 0.25)

@@ -36,9 +36,9 @@ func MaxStretch(g, h graph.View, faultIDs []int, mode lbc.Mode) (float64, error)
 
 // EdgeStretches returns the realized stretch d_{H\F}(u,v) / d_{G\F}(u,v) for
 // every edge {u,v} of g that survives the fault set, in g's edge-ID order of
-// the surviving edges. This is the series plotted by experiment E12: for a
-// valid (2k-1)-spanner every value is at most 2k-1 (and d_{G\F} ≤ w makes
-// these the binding pairs). Zero-weight edges follow MaxStretch's
+// the surviving edges. For a valid (2k-1)-spanner every value is at most
+// 2k-1 (and d_{G\F} ≤ w makes these the binding pairs);
+// TestStretchUnderRandomFaultsGolden in internal/core pins the maximum. Zero-weight edges follow MaxStretch's
 // convention: 1 when h \ F keeps the pair at distance 0, +Inf otherwise.
 func EdgeStretches(g, h graph.View, faultIDs []int, mode lbc.Mode) ([]float64, error) {
 	return pairStretches(g, h, faultIDs, mode, false)
