@@ -25,14 +25,15 @@ import (
 // otherwise. Accepted edges are appended to the spanner immediately, exactly
 // as in the sequential loop.
 //
-// Conflict test. A hop-bounded BFS on a view is a pure function of the
-// adjacency rows it scans, and it scans only the rows of vertices it
-// dequeues. Adding edge {u,v} to the spanner appends entries to the rows of u
-// and v and touches nothing else. So a speculative decision — up to alpha+1
-// BFS passes, all recorded in one expanded-vertex log R (sp.StartExpandedLog)
-// — replays operation-for-operation on the grown spanner, early exits
-// included, as long as no earlier-committed edge of the round has an endpoint
-// in R. In that case the speculated answer IS the sequential answer and is
+// Conflict test. An LBC pass (sp.Searcher.PathWithin) is a pure function of
+// the adjacency rows it scans: the rows its two-ended search expands from
+// either terminal, and not the rows of the vertices it prunes. Adding edge
+// {u,v} to the spanner appends entries to the rows of u and v and touches
+// nothing else. So a speculative decision — up to alpha+1 passes, their
+// scanned rows all recorded in one expanded-vertex log R
+// (sp.StartExpandedLog) — replays operation-for-operation on the grown
+// spanner, early exits included, as long as no earlier-committed edge of the
+// round has an endpoint in R. In that case the speculated answer IS the sequential answer and is
 // committed without re-execution; otherwise the edge is re-decided. The test
 // is sufficient, not necessary, so mis-speculation costs work but never
 // correctness: the output spanner, trace, and per-edge BFS pass counts are
@@ -58,7 +59,7 @@ var batchTuning = struct {
 	minRound     int
 	maxRound     int
 	// readSetCap bounds the recorded read set of one decision. A decision
-	// whose BFS passes dequeued more vertices than this is treated as
+	// whose passes scanned more rows than this is treated as
 	// conflicting with ANY earlier accept in its round (re-decided), instead
 	// of burning unbounded arena memory. Per decision, not per worker, so
 	// Stats.Redecided stays independent of the worker count.

@@ -14,7 +14,12 @@
 // Decide implements the paper's Algorithm 2: up to α+1 hop-bounded BFS
 // passes, each removing the internal vertices (or edges) of a found short
 // path — the classic "frequency" approximation of Hitting Set. Theorem 4:
-// it decides LBC(t, α) in O((m+n)·α) time.
+// it decides LBC(t, α) in O((m+n)·α) time. Each pass is one
+// sp.Searcher.PathWithin, which searches from both terminals and scans
+// about a ball of radius ⌈t/2⌉ around each instead of one of radius t
+// around u, yet returns exactly the path of a BFS from u — so which path
+// each pass peels, and with it every cut, witness and spanner, is the same
+// as the one-sided search's.
 //
 // Exact implements a brute-force minimum length-bounded cut by subset
 // enumeration. It exists as the test oracle TestGapGuarantee checks Decide

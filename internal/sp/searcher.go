@@ -58,13 +58,16 @@ type Searcher struct {
 
 	// Backward-side scratch for bidirectional search (see bidi.go), grown
 	// lazily by growBidi so one-directional Searchers never allocate it.
-	// The stamp arrays share the search epoch.
+	// The stamp arrays share the search epoch. PathWithin's v side uses only
+	// seenB, distB and queueB, grown by growHop.
 	wdistB   []float64
 	parentVB []int
 	parentEB []int
 	seenB    []uint32
 	doneB    []uint32
 	heapB    []heapItem
+	distB    []int
+	queueB   []int
 
 	// Fault mask: vertex u (edge id) is blocked iff the stamp equals
 	// blockEpoch, so ResetBlocked is O(1).
@@ -86,8 +89,8 @@ type Searcher struct {
 	// its path-edge witness here while the cut grows in Scratch).
 	Aux []int
 
-	// Expanded-vertex log (see StartExpandedLog): when enabled, every BFS
-	// records the vertices whose adjacency rows it scanned.
+	// Expanded-vertex log (see StartExpandedLog): when enabled, every hop
+	// search records the vertices whose adjacency rows it scanned.
 	logExpanded bool
 	expanded    []int
 }
@@ -134,19 +137,30 @@ func (s *Searcher) Grow(n, m int) {
 	}
 }
 
+// growInts, growFloats and growStamps return a grown to length n, keeping
+// its contents, or a itself when it is already long enough.
 func growInts(a []int, n int) []int {
+	if n <= len(a) {
+		return a
+	}
 	b := make([]int, n)
 	copy(b, a)
 	return b
 }
 
 func growFloats(a []float64, n int) []float64 {
+	if n <= len(a) {
+		return a
+	}
 	b := make([]float64, n)
 	copy(b, a)
 	return b
 }
 
 func growStamps(a []uint32, n int) []uint32 {
+	if n <= len(a) {
+		return a
+	}
 	b := make([]uint32, n)
 	copy(b, a)
 	return b
@@ -199,16 +213,17 @@ func (s *Searcher) VertexBlocked(u int) bool { return s.blockV[u] == s.blockEpoc
 func (s *Searcher) EdgeBlocked(id int) bool { return s.blockE[id] == s.blockEpoch }
 
 // StartExpandedLog begins recording the read set of subsequent hop-based
-// searches: every vertex a BFS dequeues for expansion (a superset of the
-// vertices whose adjacency rows it scans) is appended to an internal log,
-// accumulated across searches until StopExpandedLog. The log is what makes
-// speculative parallel execution auditable: a BFS trajectory on a view is a
-// pure function of the adjacency rows it scanned, so if none of those rows
-// changed, re-running the search yields byte-identical results — the
-// conflict test of core.ModifiedGreedyBatched. Entries may repeat across
-// passes; consumers treat the log as a set.
+// searches: every vertex whose adjacency row a search scans — on either side
+// of PathWithin's two-ended search, and nothing it pruned — is appended to
+// an internal log, accumulated across searches until StopExpandedLog. The
+// log is what makes speculative parallel execution auditable: a hop search
+// on a view is a pure function of the adjacency rows it scanned, so if none
+// of those rows changed, re-running the search yields byte-identical results
+// — the conflict test of core.ModifiedGreedyBatched. Entries may repeat
+// within and across passes; consumers treat the log as a set.
 //
-// Only the BFS family records (the LBC decide path); Dijkstra does not.
+// Only the hop searches record — PathWithin (the LBC decide path) and the
+// BFS family; Dijkstra does not.
 // Logging performs no allocation once the buffer is warm (it is sized to
 // the vertex count on first use).
 func (s *Searcher) StartExpandedLog() {
@@ -257,12 +272,12 @@ func (s *Searcher) bfs(g graph.View, src, maxHops, target int) {
 	q = append(q, src)
 	for head := 0; head < len(q); head++ {
 		u := q[head]
-		if s.logExpanded {
-			s.expanded = append(s.expanded, u)
-		}
 		du := s.dist[u]
 		if du >= maxHops {
 			continue
+		}
+		if s.logExpanded {
+			s.expanded = append(s.expanded, u)
 		}
 		for _, he := range g.Adj(u) {
 			if s.EdgeBlocked(he.ID) || s.VertexBlocked(he.To) || s.seen[he.To] == e {
@@ -304,23 +319,6 @@ func (s *Searcher) HopDist(g graph.View, u, v, maxHops int) int {
 	}
 	s.bfs(g, u, maxHops, v)
 	return s.HopDistTo(v)
-}
-
-// PathWithin returns a u-v path with at most maxHops edges in g minus the
-// fault mask, if one exists. The returned slices alias the Searcher's path
-// buffers: they are valid until the next call and must be copied to be
-// retained.
-func (s *Searcher) PathWithin(g graph.View, u, v, maxHops int) (vertices, edgeIDs []int, ok bool) {
-	s.Grow(g.N(), g.EdgeIDLimit())
-	if u == v {
-		if s.VertexBlocked(u) {
-			return nil, nil, false
-		}
-		s.pathV = append(s.pathV[:0], u)
-		return s.pathV, nil, true
-	}
-	s.bfs(g, u, maxHops, v)
-	return s.PathTo(v)
 }
 
 // PathTo reconstructs the path from the most recent search's source to v, as

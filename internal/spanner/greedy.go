@@ -31,16 +31,17 @@ func Greedy(g *graph.Graph, k int) (*graph.Graph, error) {
 	}
 	t := 2*k - 1
 	h := g.EmptyLike()
+	s := sp.NewSearcher(g.N(), g.EdgeIDLimit())
 	for _, id := range g.EdgeIDsByWeight() {
 		e := g.Edge(id)
 		if g.Weighted() {
-			if sp.Dist(h, e.U, e.V, sp.Blocked{}) > float64(t)*e.W {
+			if s.Dist(h, e.U, e.V) > float64(t)*e.W {
 				h.MustAddEdgeW(e.U, e.V, e.W)
 			}
 			continue
 		}
 		// Unweighted: hop-bounded BFS suffices and is cheaper.
-		if _, _, ok := sp.PathWithin(h, e.U, e.V, t, sp.Blocked{}); !ok {
+		if _, _, ok := s.PathWithin(h, e.U, e.V, t); !ok {
 			h.MustAddEdge(e.U, e.V)
 		}
 	}

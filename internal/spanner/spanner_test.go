@@ -8,6 +8,7 @@ import (
 	"ftspanner/internal/gen"
 	"ftspanner/internal/graph"
 	"ftspanner/internal/lbc"
+	"ftspanner/internal/sp"
 	"ftspanner/internal/verify"
 )
 
@@ -80,6 +81,54 @@ func TestGreedyWeighted(t *testing.T) {
 	}
 	if h.M() >= g.M() {
 		t.Errorf("weighted greedy did not sparsify: %d of %d", h.M(), g.M())
+	}
+}
+
+// TestGreedyMatchesAllocatingReference pins Greedy's warm-Searcher loop to
+// the same loop over the allocating package-level sp queries: the spanners
+// must be edge-for-edge identical, weighted and unweighted.
+func TestGreedyMatchesAllocatingReference(t *testing.T) {
+	reference := func(g *graph.Graph, k int) *graph.Graph {
+		hops := 2*k - 1
+		h := g.EmptyLike()
+		for _, id := range g.EdgeIDsByWeight() {
+			e := g.Edge(id)
+			if g.Weighted() {
+				if sp.Dist(h, e.U, e.V, sp.Blocked{}) > float64(hops)*e.W {
+					h.MustAddEdgeW(e.U, e.V, e.W)
+				}
+			} else if _, _, ok := sp.PathWithin(h, e.U, e.V, hops, sp.Blocked{}); !ok {
+				h.MustAddEdge(e.U, e.V)
+			}
+		}
+		return h
+	}
+	rng := rand.New(rand.NewSource(54))
+	for trial := 0; trial < 6; trial++ {
+		g, err := gen.GNP(rng, 50, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial%2 == 1 {
+			if g, err = gen.UniformWeights(rng, g, 1, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range []int{1, 2, 3} {
+			h, err := Greedy(g, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := reference(g, k)
+			if h.M() != want.M() {
+				t.Fatalf("trial %d k=%d: %d edges, reference %d", trial, k, h.M(), want.M())
+			}
+			for id := 0; id < h.EdgeIDLimit(); id++ {
+				if h.Edge(id) != want.Edge(id) {
+					t.Fatalf("trial %d k=%d: edge %d = %v, reference %v", trial, k, id, h.Edge(id), want.Edge(id))
+				}
+			}
+		}
 	}
 }
 
