@@ -188,33 +188,39 @@ func (o Options) Stretch() int { return core.Stretch(o.K) }
 // graphs, Algorithm 4 on weighted graphs). The output is a new subgraph of
 // g; g is not modified.
 //
-// With Options.BuildParallelism resolving to more than one worker the
-// construction runs in batched-parallel rounds; the returned spanner and
-// stats (besides the round counters) are byte-identical to the sequential
-// build either way.
+// Each call allocates one searcher per worker of Options.BuildParallelism
+// (0 selects GOMAXPROCS). With more than one worker the construction runs in
+// batched-parallel rounds; the returned spanner and stats (besides the round
+// counters) are byte-identical to the sequential build either way.
 func Build(g *Graph, opts Options) (*Graph, Stats, error) {
-	if workers := sp.Workers(opts.BuildParallelism); workers > 1 {
-		return core.ModifiedGreedyBatched(g, opts.K, opts.F, opts.mode(), workers)
-	}
-	return core.ModifiedGreedy(g, opts.K, opts.F, opts.mode())
+	return opts.build(g, sp.NewSearchers(opts.BuildParallelism, 0, 0))
+}
+
+// build runs the modified greedy on searchers, untraced.
+func (o Options) build(g *Graph, searchers []*Searcher) (*Graph, Stats, error) {
+	h, _, stats, err := core.Build(g, core.Params{K: o.K, F: o.F, Mode: o.mode(), Searchers: searchers})
+	return h, stats, err
 }
 
 // Searcher is a reusable shortest-path engine holding all the scratch the
-// constructions' inner BFS/Dijkstra queries need. Build allocates one per
-// call; callers constructing many spanners can allocate one with
-// NewSearcher and pass it to BuildWith so the scratch is reused across
-// builds. A Searcher is not safe for concurrent use.
+// constructions' inner BFS/Dijkstra queries need. Build allocates
+// Options.BuildParallelism of them per call; callers constructing many
+// spanners can allocate one with NewSearcher and pass it to BuildWith so the
+// scratch is reused across builds. A Searcher is not safe for concurrent
+// use.
 type Searcher = sp.Searcher
 
 // NewSearcher returns a Searcher preallocated for graphs with up to n
 // vertices and m edges; it grows on demand beyond that.
 func NewSearcher(n, m int) *Searcher { return sp.NewSearcher(n, m) }
 
-// BuildWith is Build reusing the scratch of s across the construction (nil
-// s behaves like Build). The construction's hot loop performs no per-edge
+// BuildWith is the sequential Build on the one searcher s, reusing its
+// scratch across the construction (nil s allocates a fresh one). It ignores
+// Options.BuildParallelism: the spanner is the one Build returns, and
+// Stats.Rounds stays 0. The construction's hot loop performs no per-edge
 // heap allocation on a warm searcher.
 func BuildWith(s *Searcher, g *Graph, opts Options) (*Graph, Stats, error) {
-	return core.ModifiedGreedyWith(s, g, opts.K, opts.F, opts.mode())
+	return opts.build(g, []*Searcher{s})
 }
 
 // BuildExact constructs the spanner with the original exponential-time

@@ -134,12 +134,17 @@ func TestBuildWithSearcherReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := BuildWith(s, g, Options{K: 2, F: 1})
+		// BuildWith is the sequential loop on s whatever BuildParallelism
+		// says: the same spanner as Build, and no speculation rounds.
+		got, stats, err := BuildWith(s, g, Options{K: 2, F: 1, BuildParallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.IsSubgraphOf(want) || !want.IsSubgraphOf(got) {
 			t.Fatalf("trial %d: BuildWith differs from Build", trial)
+		}
+		if stats.Rounds != 0 {
+			t.Fatalf("trial %d: BuildWith ran %d batched rounds, want the sequential loop", trial, stats.Rounds)
 		}
 	}
 }

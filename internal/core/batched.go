@@ -9,7 +9,7 @@ import (
 	"ftspanner/internal/sp"
 )
 
-// The batched builder replaces ModifiedGreedy's one long sequential
+// The batched builder replaces greedySequential's one long sequential
 // dependency chain with deterministic speculate-then-commit rounds, the shape
 // of the deterministic MPC ruling-set algorithms (Pai–Pemmaraju,
 // arXiv:2205.12686; Giliberti–Parsaeian, arXiv:2406.12727): a round of
@@ -37,7 +37,7 @@ import (
 // committed without re-execution; otherwise the edge is re-decided. The test
 // is sufficient, not necessary, so mis-speculation costs work but never
 // correctness: the output spanner, trace, and per-edge BFS pass counts are
-// byte-identical to sequential ModifiedGreedy for every worker count.
+// byte-identical to greedySequential's for every worker count.
 //
 // Determinism. Speculation runs against the frozen snapshot, so each
 // decision and its read set are independent of which worker computes them or
@@ -92,17 +92,17 @@ type specDecision struct {
 // batchedBuilder carries the per-build state of the speculate-then-commit
 // engine. Everything round-sized is allocated once here and reused across
 // every round: the spec slice, the read-set arenas, the dirty stamps, the
-// worker channels, and (via the caller's SearcherSet) the per-worker search
+// worker channels, and (via Params.Searchers) the per-worker search
 // scratch. TestModifiedGreedyBatchedRoundReuse pins that rounds allocate
 // nothing beyond spanner growth.
 type batchedBuilder struct {
-	g      graph.View
-	h      *graph.Graph
-	t, f   int
-	mode   lbc.Mode
-	order  []int
-	ss     *sp.SearcherSet
-	traced bool
+	g         graph.View
+	h         *graph.Graph
+	t, f      int
+	mode      lbc.Mode
+	order     []int
+	searchers []*sp.Searcher
+	traced    bool
 
 	spec   []specDecision
 	arenas [][]int32 // per-worker read-set storage, reset each round
@@ -121,81 +121,16 @@ type batchedBuilder struct {
 	errIdx []int
 }
 
-// ModifiedGreedyBatched is ModifiedGreedy with the construction executed in
-// deterministic speculate-then-commit rounds across `workers` goroutines
-// (workers <= 0 selects GOMAXPROCS; workers == 1 runs the plain sequential
-// loop). The returned spanner is byte-identical to ModifiedGreedy's for
-// every worker count, and EdgesConsidered / EdgesAdded / BFSPasses match the
-// sequential stats exactly; only Rounds and Redecided are new.
-func ModifiedGreedyBatched(g graph.View, k, f int, mode lbc.Mode, workers int) (*graph.Graph, Stats, error) {
-	var stats Stats
-	if err := validateParams(g, k, f, mode); err != nil {
-		return nil, stats, err
+// greedyBatched is the batched edge loop: the round scheduler, the worker
+// pool (one worker per searcher), and the canonical commit. Parameters are
+// assumed validated and len(searchers) > 1. A non-nil trace receives every
+// committed decision with retainable certificate copies, exactly like
+// greedySequential.
+func greedyBatched(searchers []*sp.Searcher, g graph.View, k, f int, mode lbc.Mode, order []int, stats *Stats, trace *[]EdgeDecision) (*graph.Graph, error) {
+	workers := len(searchers)
+	for _, s := range searchers {
+		s.Grow(g.N(), g.EdgeIDLimit())
 	}
-	workers = sp.Workers(workers)
-	if workers == 1 {
-		return modifiedGreedy(nil, g, k, f, mode, considerationOrder(g))
-	}
-	return ModifiedGreedyBatchedWith(sp.NewSearcherSet(workers, g.N(), g.EdgeIDLimit()), g, k, f, mode)
-}
-
-// ModifiedGreedyBatchedWith is ModifiedGreedyBatched reusing the per-worker
-// scratch of ss across the whole construction (and across constructions,
-// when the caller builds many spanners with one set — the dynamic
-// maintainer's rebuild path). The worker count is ss.Len(). A nil ss
-// allocates a fresh GOMAXPROCS-sized set.
-func ModifiedGreedyBatchedWith(ss *sp.SearcherSet, g graph.View, k, f int, mode lbc.Mode) (*graph.Graph, Stats, error) {
-	var stats Stats
-	if err := validateParams(g, k, f, mode); err != nil {
-		return nil, stats, err
-	}
-	if ss == nil {
-		ss = sp.NewSearcherSet(0, g.N(), g.EdgeIDLimit())
-	}
-	order := considerationOrder(g)
-	if ss.Len() == 1 {
-		h, err := greedySequential(ss.Get(0), g, k, f, mode, order, &stats, nil)
-		return h, stats, err
-	}
-	h, err := modifiedGreedyBatched(ss, g, k, f, mode, order, &stats, nil)
-	return h, stats, err
-}
-
-// ModifiedGreedyBatchedTraced is ModifiedGreedyTraced executed by the
-// batched engine: the spanner, the decision trace, and the per-edge pass
-// counts are byte-identical to the sequential traced build for every worker
-// count. This is the build the dynamic maintainer's rebuild fallback uses
-// when BuildParallelism > 1.
-func ModifiedGreedyBatchedTraced(ss *sp.SearcherSet, g graph.View, k, f int, mode lbc.Mode) (*graph.Graph, []EdgeDecision, Stats, error) {
-	var stats Stats
-	if err := validateParams(g, k, f, mode); err != nil {
-		return nil, nil, stats, err
-	}
-	if ss == nil {
-		ss = sp.NewSearcherSet(0, g.N(), g.EdgeIDLimit())
-	}
-	order := considerationOrder(g)
-	decisions, sink := decisionCollector(len(order))
-	var h *graph.Graph
-	var err error
-	if ss.Len() == 1 {
-		h, err = greedySequential(ss.Get(0), g, k, f, mode, order, &stats, sink)
-	} else {
-		h, err = modifiedGreedyBatched(ss, g, k, f, mode, order, &stats, sink)
-	}
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	return h, *decisions, stats, nil
-}
-
-// modifiedGreedyBatched is the batched edge loop: the round scheduler, the
-// worker pool, and the canonical commit. Parameters are assumed validated
-// and ss.Len() > 1. A non-nil sink receives every committed decision with
-// retainable certificate copies, exactly like greedySequential.
-func modifiedGreedyBatched(ss *sp.SearcherSet, g graph.View, k, f int, mode lbc.Mode, order []int, stats *Stats, sink traceSink) (*graph.Graph, error) {
-	workers := ss.Len()
-	ss.Grow(g.N(), g.EdgeIDLimit())
 	// No round ever exceeds the larger tuning bound or the edge count, so
 	// one spec slice of that size serves every round of the build.
 	specCap := max(batchTuning.initialRound, batchTuning.maxRound)
@@ -203,20 +138,20 @@ func modifiedGreedyBatched(ss *sp.SearcherSet, g graph.View, k, f int, mode lbc.
 		specCap = len(order)
 	}
 	b := &batchedBuilder{
-		g:      g,
-		h:      graph.NewLike(g),
-		t:      Stretch(k),
-		f:      f,
-		mode:   mode,
-		order:  order,
-		ss:     ss,
-		traced: sink != nil,
-		spec:   make([]specDecision, specCap),
-		arenas: make([][]int32, workers),
-		dirty:  make([]uint32, g.N()),
-		jobs:   make([]chan [2]int, workers),
-		errs:   make([]error, workers),
-		errIdx: make([]int, workers),
+		g:         g,
+		h:         graph.NewLike(g),
+		t:         Stretch(k),
+		f:         f,
+		mode:      mode,
+		order:     order,
+		searchers: searchers,
+		traced:    trace != nil,
+		spec:      make([]specDecision, specCap),
+		arenas:    make([][]int32, workers),
+		dirty:     make([]uint32, g.N()),
+		jobs:      make([]chan [2]int, workers),
+		errs:      make([]error, workers),
+		errIdx:    make([]int, workers),
 	}
 	for w := range b.jobs {
 		b.jobs[w] = make(chan [2]int, 1)
@@ -251,7 +186,7 @@ func modifiedGreedyBatched(ss *sp.SearcherSet, g graph.View, k, f int, mode lbc.
 		}
 		stats.Rounds++
 		before := stats.Redecided
-		if err := b.commitRound(lo, hi, stats, sink); err != nil {
+		if err := b.commitRound(lo, hi, stats, trace); err != nil {
 			return nil, err
 		}
 		rate := float64(stats.Redecided-before) / float64(hi-lo)
@@ -274,7 +209,7 @@ func modifiedGreedyBatched(ss *sp.SearcherSet, g graph.View, k, f int, mode lbc.
 // yields the same decisions — but it keeps per-worker load balanced without
 // a shared counter).
 func (b *batchedBuilder) worker(w int) {
-	s := b.ss.Get(w)
+	s := b.searchers[w]
 	workers := len(b.jobs)
 	for span := range b.jobs[w] {
 		for i := span[0] + w; i < span[1]; i += workers {
@@ -342,14 +277,14 @@ func (b *batchedBuilder) firstError() error {
 // commit as-is, invalidated ones are re-decided on worker 0's searcher
 // against the updated spanner, and accepted edges mark their endpoints dirty
 // for the decisions after them.
-func (b *batchedBuilder) commitRound(lo, hi int, stats *Stats, sink traceSink) error {
+func (b *batchedBuilder) commitRound(lo, hi int, stats *Stats, trace *[]EdgeDecision) error {
 	b.dirtyEpoch++
 	if b.dirtyEpoch == 0 {
 		clear(b.dirty)
 		b.dirtyEpoch = 1
 	}
 	accepts := 0
-	s0 := b.ss.Get(0)
+	s0 := b.searchers[0]
 	for i := lo; i < hi; i++ {
 		d := &b.spec[i-lo]
 		id := b.order[i]
@@ -379,12 +314,8 @@ func (b *batchedBuilder) commitRound(lo, hi int, stats *Stats, sink traceSink) e
 			b.dirty[e.V] = b.dirtyEpoch
 			accepts++
 		}
-		if sink != nil {
-			if yes {
-				sink(id, hid, true, passes, cut, nil)
-			} else {
-				sink(id, -1, false, passes, nil, witness)
-			}
+		if trace != nil {
+			*trace = append(*trace, EdgeDecision{GEdgeID: id, Added: yes, HEdgeID: hid, Cut: cut, Witness: witness, Passes: passes})
 		}
 	}
 	return nil

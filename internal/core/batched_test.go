@@ -71,21 +71,21 @@ func batchedPinGraphs(t *testing.T, rng *rand.Rand) map[string]*graph.Graph {
 
 // TestModifiedGreedyBatchedIdentical is the byte-identical pin: for every
 // graph class × fault mode × worker count, the batched builder must return
-// exactly the sequential ModifiedGreedy spanner — same edges, same IDs, same
-// weights — with matching EdgesConsidered / EdgesAdded / BFSPasses. Run
-// under -race this also exercises the speculation phase's data-race freedom.
+// exactly the sequential spanner — same edges, same IDs, same weights —
+// with matching EdgesConsidered / EdgesAdded / BFSPasses. Run under -race
+// this also exercises the speculation phase's data-race freedom.
 func TestModifiedGreedyBatchedIdentical(t *testing.T) {
 	smallRounds(t)
 	rng := rand.New(rand.NewSource(108))
 	k, f := 2, 1
 	for name, g := range batchedPinGraphs(t, rng) {
 		for _, mode := range []lbc.Mode{lbc.Vertex, lbc.Edge} {
-			want, wantStats, err := ModifiedGreedy(g, k, f, mode)
+			want, wantStats, err := modifiedGreedy(g, k, f, mode)
 			if err != nil {
 				t.Fatalf("%s/%v: sequential: %v", name, mode, err)
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
-				got, gotStats, err := ModifiedGreedyBatched(g, k, f, mode, workers)
+				got, _, gotStats, err := Build(g, Params{K: k, F: f, Mode: mode, Searchers: sp.NewSearchers(workers, 0, 0)})
 				if err != nil {
 					t.Fatalf("%s/%v/w=%d: batched: %v", name, mode, workers, err)
 				}
@@ -115,13 +115,13 @@ func TestModifiedGreedyBatchedIdenticalOnCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	csr := graph.BuildCSR(g)
-	want, _, err := ModifiedGreedy(csr, 2, 1, lbc.Vertex)
+	want, _, err := modifiedGreedy(csr, 2, 1, lbc.Vertex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		ss := sp.NewSearcherSet(workers, csr.N(), csr.EdgeIDLimit())
-		got, stats, err := ModifiedGreedyBatchedWith(ss, csr, 2, 1, lbc.Vertex)
+		ss := sp.NewSearchers(workers, csr.N(), csr.EdgeIDLimit())
+		got, _, stats, err := Build(csr, Params{K: 2, F: 1, Mode: lbc.Vertex, Searchers: ss})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestModifiedGreedyBatchedDeterministic(t *testing.T) {
 	}
 	var base *Stats
 	for _, workers := range []int{2, 4, 8} {
-		_, stats, err := ModifiedGreedyBatched(g, 2, 1, lbc.Vertex, workers)
+		_, _, stats, err := Build(g, Params{K: 2, F: 1, Mode: lbc.Vertex, Searchers: sp.NewSearchers(workers, 0, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,13 +174,13 @@ func TestModifiedGreedyBatchedTracedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []lbc.Mode{lbc.Vertex, lbc.Edge} {
-		wantH, wantDecs, wantStats, err := ModifiedGreedyTraced(nil, g, 2, 1, mode)
+		wantH, wantDecs, wantStats, err := Build(g, Params{K: 2, F: 1, Mode: mode, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			ss := sp.NewSearcherSet(workers, g.N(), g.EdgeIDLimit())
-			gotH, gotDecs, gotStats, err := ModifiedGreedyBatchedTraced(ss, g, 2, 1, mode)
+			ss := sp.NewSearchers(workers, g.N(), g.EdgeIDLimit())
+			gotH, gotDecs, gotStats, err := Build(g, Params{K: 2, F: 1, Mode: mode, Searchers: ss, Trace: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestModifiedGreedyBatchedRoundReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sp.NewSearcherSet(4, g.N(), g.EdgeIDLimit())
+	p := Params{K: 2, F: 1, Mode: lbc.Vertex, Searchers: sp.NewSearchers(4, g.N(), g.EdgeIDLimit())}
 	saved := batchTuning
 	t.Cleanup(func() { batchTuning = saved })
 	measure := func(initial, minR, maxR int) float64 {
@@ -214,7 +214,7 @@ func TestModifiedGreedyBatchedRoundReuse(t *testing.T) {
 		batchTuning.minRound = minR
 		batchTuning.maxRound = maxR
 		build := func() {
-			if _, _, err := ModifiedGreedyBatchedWith(ss, g, 2, 1, lbc.Vertex); err != nil {
+			if _, _, _, err := Build(g, p); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,9 +5,26 @@ import (
 	"testing"
 
 	"ftspanner/internal/gen"
+	"ftspanner/internal/graph"
 	"ftspanner/internal/lbc"
 	"ftspanner/internal/verify"
 )
+
+// certifiedBuild is the traced vertex-fault build projected onto its added
+// edges: one Lemma 6 cut certificate F_e (Cut) per spanner edge (HEdgeID).
+func certifiedBuild(g graph.View, k, f int) (*graph.Graph, []EdgeDecision, Stats, error) {
+	h, decisions, stats, err := Build(g, Params{K: k, F: f, Mode: lbc.Vertex, Trace: true})
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	var certs []EdgeDecision
+	for _, d := range decisions {
+		if d.Added {
+			certs = append(certs, d)
+		}
+	}
+	return h, certs, stats, nil
+}
 
 func TestCertificatesMatchSpanner(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
@@ -15,20 +32,20 @@ func TestCertificatesMatchSpanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, certs, stats, err := ModifiedGreedyWithCertificates(g, 2, 1)
+	h, certs, stats, err := certifiedBuild(g, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(certs) != h.M() {
 		t.Fatalf("%d certificates for %d spanner edges", len(certs), h.M())
 	}
-	// The certified construction is exactly ModifiedGreedy.
-	want, wantStats, err := ModifiedGreedy(g, 2, 1, lbc.Vertex)
+	// The certified construction is exactly the untraced one.
+	want, wantStats, err := modifiedGreedy(g, 2, 1, lbc.Vertex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !h.IsSubgraphOf(want) || !want.IsSubgraphOf(h) {
-		t.Error("certified construction differs from ModifiedGreedy")
+		t.Error("certified construction differs from the untraced build")
 	}
 	if stats.BFSPasses != wantStats.BFSPasses {
 		t.Errorf("stats differ: %d vs %d BFS passes", stats.BFSPasses, wantStats.BFSPasses)
@@ -36,9 +53,9 @@ func TestCertificatesMatchSpanner(t *testing.T) {
 	// Each certificate respects the Theorem 4 size bound and avoids the
 	// edge's endpoints.
 	for _, c := range certs {
-		e := h.Edge(c.EdgeID)
+		e := h.Edge(c.HEdgeID)
 		if len(c.Cut) > 1*Stretch(2) {
-			t.Errorf("certificate for edge %d has %d vertices > f(2k-1) = 3", c.EdgeID, len(c.Cut))
+			t.Errorf("certificate for edge %d has %d vertices > f(2k-1) = 3", c.HEdgeID, len(c.Cut))
 		}
 		for _, x := range c.Cut {
 			if x == e.U || x == e.V {
@@ -60,14 +77,14 @@ func TestLemma6BlockingSet(t *testing.T) {
 		}
 		for _, k := range []int{2, 3} {
 			for _, f := range []int{1, 2} {
-				h, certs, _, err := ModifiedGreedyWithCertificates(g, k, f)
+				h, certs, _, err := certifiedBuild(g, k, f)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var pairs []verify.BlockingPair
 				for _, c := range certs {
 					for _, x := range c.Cut {
-						pairs = append(pairs, verify.BlockingPair{V: x, EdgeID: c.EdgeID})
+						pairs = append(pairs, verify.BlockingPair{V: x, EdgeID: c.HEdgeID})
 					}
 				}
 				if maxSize := Stretch(k) * f * h.M(); len(pairs) > maxSize {
@@ -98,14 +115,14 @@ func TestLemma6BlockingSetWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, certs, _, err := ModifiedGreedyWithCertificates(g, 2, 2)
+	h, certs, _, err := certifiedBuild(g, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pairs []verify.BlockingPair
 	for _, c := range certs {
 		for _, x := range c.Cut {
-			pairs = append(pairs, verify.BlockingPair{V: x, EdgeID: c.EdgeID})
+			pairs = append(pairs, verify.BlockingPair{V: x, EdgeID: c.HEdgeID})
 		}
 	}
 	ok, witness, err := verify.CheckBlockingSet(h, pairs, 4)
@@ -118,10 +135,10 @@ func TestLemma6BlockingSetWeighted(t *testing.T) {
 }
 
 func TestCertificatesValidation(t *testing.T) {
-	if _, _, _, err := ModifiedGreedyWithCertificates(nil, 2, 1); err == nil {
+	if _, _, _, err := certifiedBuild(nil, 2, 1); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, _, _, err := ModifiedGreedyWithCertificates(gen.Complete(4), 0, 1); err == nil {
+	if _, _, _, err := certifiedBuild(gen.Complete(4), 0, 1); err == nil {
 		t.Error("k = 0 accepted")
 	}
 }

@@ -4,13 +4,16 @@
 //     Dinitz, Parter, Vassilevska Williams (SODA'18) as analyzed by Bodwin
 //     and Patel (PODC'19). Size-optimal O(f^(1-1/k)·n^(1+1/k)) but its edge
 //     test enumerates all fault sets of size f, so it is exponential in f.
-//   - ModifiedGreedy: Algorithms 3 and 4, the paper's main contribution. The
-//     exponential edge test is replaced by the polynomial Length-Bounded Cut
-//     gap decision (package lbc), giving an f-fault-tolerant (2k-1)-spanner
-//     with O(k·f^(1-1/k)·n^(1+1/k)) edges in O(m·k·f^(2-1/k)·n^(1+1/k)) time
-//     (Theorems 5, 8, 9, 10). On weighted graphs edges are considered in
-//     nondecreasing weight order and the LBC test ignores weights; the
-//     ordering alone restores correctness (Theorem 10).
+//   - Build: the modified greedy of Algorithms 3 and 4, the paper's main
+//     contribution. The exponential edge test is replaced by the polynomial
+//     Length-Bounded Cut gap decision (package lbc), giving an
+//     f-fault-tolerant (2k-1)-spanner with O(k·f^(1-1/k)·n^(1+1/k)) edges in
+//     O(m·k·f^(2-1/k)·n^(1+1/k)) time (Theorems 5, 8, 9, 10). On weighted
+//     graphs edges are considered in nondecreasing weight order and the LBC
+//     test ignores weights; the ordering alone restores correctness
+//     (Theorem 10). Build is the only entry point to that one edge loop: its
+//     Params choose the sequential loop or the byte-identical batched rounds
+//     (by the number of searchers) and whether to return the decision trace.
 //
 // Both algorithms support vertex faults (f-VFT) and edge faults (f-EFT) via
 // lbc.Mode. Both leave the input graph unmodified and return a new subgraph
@@ -39,9 +42,9 @@ type Stats struct {
 	// EdgesAdded is the number of edges in the returned spanner.
 	EdgesAdded int
 	// BFSPasses is the total number of hop-bounded BFS passes across all
-	// committed LBC decisions (ModifiedGreedy family only). Identical for
-	// every execution mode and worker count: the batched builder counts the
-	// passes of the decision it committed, not of mis-speculations.
+	// committed LBC decisions (Build only). Identical for every worker
+	// count: the batched rounds count the passes of the decision they
+	// committed, not of mis-speculations.
 	BFSPasses int
 	// FaultSetsTried is the total number of fault sets enumerated
 	// (ExactGreedy only). With one worker this count is deterministic; under
@@ -49,15 +52,14 @@ type Stats struct {
 	// before the early exit, which can exceed the sequential count and vary
 	// between runs. The constructed spanner is identical either way.
 	FaultSetsTried int64
-	// Rounds is the number of speculate-then-commit rounds executed
-	// (ModifiedGreedyBatched with more than one worker only; 0 on the
-	// sequential paths).
+	// Rounds is the number of speculate-then-commit rounds executed (Build
+	// with more than one searcher only; 0 on the sequential loop).
 	Rounds int
 	// Redecided counts speculative decisions that were invalidated by an
 	// earlier commit in their round and re-decided serially against the
-	// updated spanner (ModifiedGreedyBatched only). Deterministic per input:
-	// the conflict test depends on decision read sets and committed accepts,
-	// not on the worker count or scheduling.
+	// updated spanner (Build with more than one searcher only). Deterministic
+	// per input: the conflict test depends on decision read sets and
+	// committed accepts, not on the worker count or scheduling.
 	Redecided int
 }
 
@@ -75,111 +77,6 @@ func validateParams(g graph.View, k, f int, mode lbc.Mode) error {
 		return fmt.Errorf("core: invalid fault mode %v", mode)
 	}
 	return nil
-}
-
-// ModifiedGreedy builds an f-fault-tolerant (2k-1)-spanner of g in polynomial
-// time (the paper's Theorem 2).
-//
-// On unweighted graphs this is Algorithm 3 with insertion order; on weighted
-// graphs it is Algorithm 4 (nondecreasing weight order). f = 0 degenerates to
-// a non-fault-tolerant (2k-1)-spanner (the hop-based variant of the classic
-// greedy).
-func ModifiedGreedy(g graph.View, k, f int, mode lbc.Mode) (*graph.Graph, Stats, error) {
-	if err := validateParams(g, k, f, mode); err != nil {
-		return nil, Stats{}, err
-	}
-	return ModifiedGreedyWithOrder(g, k, f, mode, considerationOrder(g))
-}
-
-// ModifiedGreedyWithOrder is ModifiedGreedy with an explicit edge
-// consideration order (a permutation of the edge IDs of g).
-//
-// The size bound (Theorem 8) holds for every order. Correctness on weighted
-// graphs holds only for nondecreasing weight orders (Theorem 10) — passing
-// another order on a weighted graph may violate the stretch guarantee, as
-// TestWeightOrderingIsLoadBearing shows.
-func ModifiedGreedyWithOrder(g graph.View, k, f int, mode lbc.Mode, order []int) (*graph.Graph, Stats, error) {
-	return modifiedGreedy(nil, g, k, f, mode, order)
-}
-
-// ModifiedGreedyWith is ModifiedGreedy reusing the scratch of s across the
-// whole construction (and across constructions, when the caller builds many
-// spanners with one searcher). A nil s allocates a fresh searcher. The hot
-// loop — one lbc.DecideWith per input edge — performs no per-edge heap
-// allocation beyond the growth of the output spanner itself.
-func ModifiedGreedyWith(s *sp.Searcher, g graph.View, k, f int, mode lbc.Mode) (*graph.Graph, Stats, error) {
-	if err := validateParams(g, k, f, mode); err != nil {
-		return nil, Stats{}, err
-	}
-	return modifiedGreedy(s, g, k, f, mode, considerationOrder(g))
-}
-
-// traceSink receives the final, canonical-order decision for every
-// considered edge: the spanner edge ID on YES (-1 otherwise), the BFS pass
-// count, and — when the engine runs in traced mode — a retainable copy of
-// the YES cut certificate or the NO coverage witness (nil sink fields
-// otherwise, and nil slices when the sink itself is what requested no
-// copies). Every ModifiedGreedy* variant is this one edge loop plus a sink:
-// the plain builds pass a nil sink, the traced builds collect EdgeDecisions,
-// and the batched build drives the same sink from its commit phase.
-type traceSink func(gid, hID int, yes bool, passes int, cut, witness []int)
-
-func modifiedGreedy(s *sp.Searcher, g graph.View, k, f int, mode lbc.Mode, order []int) (*graph.Graph, Stats, error) {
-	var stats Stats
-	if err := validateParams(g, k, f, mode); err != nil {
-		return nil, stats, err
-	}
-	if err := checkOrder(g, order); err != nil {
-		return nil, stats, err
-	}
-	h, err := greedySequential(s, g, k, f, mode, order, &stats, nil)
-	return h, stats, err
-}
-
-// greedySequential is the sequential edge loop shared by ModifiedGreedy,
-// ModifiedGreedyWith, ModifiedGreedyWithOrder, and ModifiedGreedyTraced:
-// one lbc decision per edge in consideration order against the spanner so
-// far. Parameters are assumed validated. A non-nil sink receives every
-// decision with retainable certificate copies.
-func greedySequential(s *sp.Searcher, g graph.View, k, f int, mode lbc.Mode, order []int, stats *Stats, sink traceSink) (*graph.Graph, error) {
-	if s == nil {
-		s = sp.NewSearcher(g.N(), g.EdgeIDLimit())
-	} else {
-		s.Grow(g.N(), g.EdgeIDLimit())
-	}
-	t := Stretch(k)
-	h := graph.NewLike(g)
-	for _, id := range order {
-		e := g.Edge(id)
-		stats.EdgesConsidered++
-		res, err := lbc.DecideWith(s, h, e.U, e.V, t, f, mode)
-		if err != nil {
-			return nil, fmt.Errorf("core: LBC on edge {%d,%d}: %w", e.U, e.V, err)
-		}
-		stats.BFSPasses += res.Passes
-		hid := -1
-		if res.Yes {
-			hid = h.MustAddEdgeW(e.U, e.V, e.W)
-		}
-		if sink != nil {
-			// res.Cut / res.PathEdges alias searcher scratch; hand the sink
-			// copies it may retain.
-			if res.Yes {
-				sink(id, hid, true, res.Passes, cloneInts(res.Cut), nil)
-			} else {
-				sink(id, -1, false, res.Passes, nil, cloneInts(res.PathEdges))
-			}
-		}
-	}
-	stats.EdgesAdded = h.M()
-	return h, nil
-}
-
-// cloneInts copies a scratch-aliasing slice into a retainable one. A nil or
-// empty input stays nil, matching the historical EdgeDecision encoding
-// (append([]int(nil), nil...) == nil).
-func cloneInts(a []int) []int {
-	return append([]int(nil), a...)
 }
 
 // ExactGreedy builds an f-fault-tolerant (2k-1)-spanner of g using the
@@ -207,22 +104,18 @@ func ExactGreedyParallel(g graph.View, k, f int, mode lbc.Mode, workers int) (*g
 	if err := validateParams(g, k, f, mode); err != nil {
 		return nil, stats, err
 	}
-	workers = sp.Workers(workers)
 	t := Stretch(k)
 	h := graph.NewLike(g)
 	order := considerationOrder(g)
 	// One searcher per worker, reused across every edge of the build.
-	searchers := make([]*sp.Searcher, workers)
-	for i := range searchers {
-		searchers[i] = sp.NewSearcher(g.N(), g.M())
-	}
+	searchers := sp.NewSearchers(workers, g.N(), g.M())
 	for _, id := range order {
 		e := g.Edge(id)
 		stats.EdgesConsidered++
 		threshold := float64(t) * e.W
 		var bad bool
 		var tried int64
-		if workers == 1 {
+		if len(searchers) == 1 {
 			bad, tried = existsFaultSetExceeding(searchers[0], h, e.U, e.V, f, threshold, mode)
 		} else {
 			bad, tried = existsFaultSetExceedingParallel(searchers, h, e.U, e.V, f, threshold, mode)
@@ -363,24 +256,6 @@ func considerationOrder(g graph.View) []int {
 		return g.EdgeIDsByWeight()
 	}
 	return g.EdgeIDs()
-}
-
-// checkOrder validates that order is a permutation of the live edge IDs of g.
-func checkOrder(g graph.View, order []int) error {
-	if len(order) != g.M() {
-		return fmt.Errorf("core: order has %d entries, want %d", len(order), g.M())
-	}
-	seen := make([]bool, g.EdgeIDLimit())
-	for _, id := range order {
-		if id < 0 || id >= len(seen) || !g.EdgeAlive(id) {
-			return fmt.Errorf("core: order entry %d is not a live edge ID", id)
-		}
-		if seen[id] {
-			return fmt.Errorf("core: duplicate edge ID %d in order", id)
-		}
-		seen[id] = true
-	}
-	return nil
 }
 
 // SizeBound returns the paper's Theorem 8 size bound k·f^(1-1/k)·n^(1+1/k)

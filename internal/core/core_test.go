@@ -19,31 +19,29 @@ func TestStretch(t *testing.T) {
 	}
 }
 
+// modifiedGreedy is the untraced sequential Build every other construction
+// is compared against.
+func modifiedGreedy(g graph.View, k, f int, mode lbc.Mode) (*graph.Graph, Stats, error) {
+	h, _, stats, err := Build(g, Params{K: k, F: f, Mode: mode})
+	return h, stats, err
+}
+
 func TestValidation(t *testing.T) {
 	g := gen.Complete(4)
-	if _, _, err := ModifiedGreedy(nil, 2, 1, lbc.Vertex); err == nil {
+	if _, _, err := modifiedGreedy(nil, 2, 1, lbc.Vertex); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, _, err := ModifiedGreedy(g, 0, 1, lbc.Vertex); err == nil {
+	if _, _, err := modifiedGreedy(g, 0, 1, lbc.Vertex); err == nil {
 		t.Error("k = 0 accepted")
 	}
-	if _, _, err := ModifiedGreedy(g, 2, -1, lbc.Vertex); err == nil {
+	if _, _, err := modifiedGreedy(g, 2, -1, lbc.Vertex); err == nil {
 		t.Error("f = -1 accepted")
 	}
-	if _, _, err := ModifiedGreedy(g, 2, 1, lbc.Mode(0)); err == nil {
+	if _, _, err := modifiedGreedy(g, 2, 1, lbc.Mode(0)); err == nil {
 		t.Error("bad mode accepted")
 	}
 	if _, _, err := ExactGreedy(g, 0, 1, lbc.Vertex); err == nil {
 		t.Error("ExactGreedy k = 0 accepted")
-	}
-	if _, _, err := ModifiedGreedyWithOrder(g, 2, 1, lbc.Vertex, []int{0, 1}); err == nil {
-		t.Error("short order accepted")
-	}
-	if _, _, err := ModifiedGreedyWithOrder(g, 2, 1, lbc.Vertex, []int{0, 0, 1, 2, 3, 4}); err == nil {
-		t.Error("duplicate order accepted")
-	}
-	if _, _, err := ModifiedGreedyWithOrder(g, 2, 1, lbc.Vertex, []int{0, 1, 2, 3, 4, 9}); err == nil {
-		t.Error("out-of-range order accepted")
 	}
 }
 
@@ -59,7 +57,7 @@ func TestModifiedGreedyIsFTSpanner(t *testing.T) {
 		for _, k := range []int{2, 3} {
 			for _, f := range []int{1, 2} {
 				for _, mode := range []lbc.Mode{lbc.Vertex, lbc.Edge} {
-					h, stats, err := ModifiedGreedy(g, k, f, mode)
+					h, stats, err := modifiedGreedy(g, k, f, mode)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -120,7 +118,7 @@ func TestWeightedModifiedGreedy(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []lbc.Mode{lbc.Vertex, lbc.Edge} {
-			h, _, err := ModifiedGreedy(g, 2, 1, mode)
+			h, _, err := modifiedGreedy(g, 2, 1, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +164,7 @@ func TestModifiedGreedyValidAcrossFamilies(t *testing.T) {
 		{"grid 4x5", grid, 31, 31},
 	} {
 		for mode, want := range map[lbc.Mode]int{lbc.Vertex: tc.vft, lbc.Edge: tc.eft} {
-			h, _, err := ModifiedGreedy(tc.g, 2, 2, mode)
+			h, _, err := modifiedGreedy(tc.g, 2, 2, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +199,7 @@ func TestWeightOrderingIsLoadBearing(t *testing.T) {
 		light := g.MustAddEdgeW(0, 3, 1)
 		badOrder := append(append([]int{}, heavy...), light)
 
-		h, _, err := ModifiedGreedyWithOrder(g, 2, 1, lbc.Vertex, badOrder)
+		h, err := greedySequential(nil, g, 2, 1, lbc.Vertex, badOrder, new(Stats), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +215,7 @@ func TestWeightOrderingIsLoadBearing(t *testing.T) {
 		}
 
 		// The correct (sorted) order keeps it and verifies exhaustively.
-		h, _, err = ModifiedGreedy(g, 2, 1, lbc.Vertex)
+		h, _, err = modifiedGreedy(g, 2, 1, lbc.Vertex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +247,7 @@ func TestWeightOrderingIsLoadBearing(t *testing.T) {
 			{"sorted", adv.EdgeIDsByWeight(), true},
 			{"insertion", insertion, false},
 		} {
-			h, _, err := ModifiedGreedyWithOrder(adv, 2, 1, lbc.Vertex, tc.order)
+			h, err := greedySequential(nil, adv, 2, 1, lbc.Vertex, tc.order, new(Stats), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,7 +273,7 @@ func TestF0GirthInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, _, err := ModifiedGreedy(g, k, 0, lbc.Vertex)
+		h, _, err := modifiedGreedy(g, k, 0, lbc.Vertex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +294,7 @@ func TestTreeKeepsAllEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	g := gen.RandomTree(rng, 30)
 	for _, f := range []int{0, 1, 3} {
-		h, _, err := ModifiedGreedy(g, 2, f, lbc.Vertex)
+		h, _, err := modifiedGreedy(g, 2, f, lbc.Vertex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +313,7 @@ func TestFaultBudgetAddsRedundancy(t *testing.T) {
 	g := gen.Complete(12)
 	sizes := make(map[int]int)
 	for _, f := range []int{0, 1, 2} {
-		h, _, err := ModifiedGreedy(g, 2, f, lbc.Vertex)
+		h, _, err := modifiedGreedy(g, 2, f, lbc.Vertex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +334,7 @@ func TestSizeBoundShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range []int{1, 2} {
-		h, _, err := ModifiedGreedy(g, 2, f, lbc.Vertex)
+		h, _, err := modifiedGreedy(g, 2, f, lbc.Vertex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +370,7 @@ func TestSizeGolden(t *testing.T) {
 	}
 	got := make(map[key]int, len(want))
 	for c, size := range want {
-		h, _, err := ModifiedGreedy(g, c.k, c.f, c.mode)
+		h, _, err := modifiedGreedy(g, c.k, c.f, c.mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +411,7 @@ func TestStretchUnderRandomFaultsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, want := range map[int]float64{2: 1.7775, 3: 1.6713} {
-		h, _, err := ModifiedGreedy(g, k, 2, lbc.Vertex)
+		h, _, err := modifiedGreedy(g, k, 2, lbc.Vertex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +474,7 @@ func TestModifiedVsExactSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, _, err := ModifiedGreedy(g, 2, 1, lbc.Vertex)
+		approx, _, err := modifiedGreedy(g, 2, 1, lbc.Vertex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,7 +501,7 @@ func TestModifiedVsExactGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		modified, _, err := ModifiedGreedy(g, want.k, want.f, lbc.Vertex)
+		modified, _, err := modifiedGreedy(g, want.k, want.f, lbc.Vertex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -526,7 +524,7 @@ func TestModifiedVsExactGolden(t *testing.T) {
 func TestDoesNotMutateInput(t *testing.T) {
 	g := gen.Complete(8)
 	before := g.M()
-	if _, _, err := ModifiedGreedy(g, 2, 1, lbc.Vertex); err != nil {
+	if _, _, err := modifiedGreedy(g, 2, 1, lbc.Vertex); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ExactGreedy(g, 2, 1, lbc.Vertex); err != nil {
@@ -539,17 +537,17 @@ func TestDoesNotMutateInput(t *testing.T) {
 
 func TestEmptyAndTinyGraphs(t *testing.T) {
 	empty := graph.New(0)
-	h, stats, err := ModifiedGreedy(empty, 2, 1, lbc.Vertex)
+	h, stats, err := modifiedGreedy(empty, 2, 1, lbc.Vertex)
 	if err != nil || h.N() != 0 || stats.EdgesAdded != 0 {
 		t.Errorf("empty graph: %v %+v %v", h, stats, err)
 	}
 	single := graph.New(1)
-	if h, _, err = ModifiedGreedy(single, 2, 1, lbc.Vertex); err != nil || h.M() != 0 {
+	if h, _, err = modifiedGreedy(single, 2, 1, lbc.Vertex); err != nil || h.M() != 0 {
 		t.Errorf("single vertex: %v %v", h, err)
 	}
 	pair := graph.New(2)
 	pair.MustAddEdge(0, 1)
-	h, _, err = ModifiedGreedy(pair, 2, 1, lbc.Vertex)
+	h, _, err = modifiedGreedy(pair, 2, 1, lbc.Vertex)
 	if err != nil || h.M() != 1 {
 		t.Errorf("single edge must be kept: %v %v", h, err)
 	}

@@ -85,11 +85,11 @@ func TestModifiedGreedyCSREquivalence(t *testing.T) {
 				g := build(seed)
 				csr := graph.BuildCSR(g)
 				for _, mode := range []lbc.Mode{lbc.Vertex, lbc.Edge} {
-					hSlice, statsSlice, err := ModifiedGreedy(g, 2, 1, mode)
+					hSlice, statsSlice, err := modifiedGreedy(g, 2, 1, mode)
 					if err != nil {
 						t.Fatal(err)
 					}
-					hCSR, statsCSR, err := ModifiedGreedy(csr, 2, 1, mode)
+					hCSR, statsCSR, err := modifiedGreedy(csr, 2, 1, mode)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,7 +148,7 @@ func TestVerifyCSREquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(20); seed <= 22; seed++ {
 				g := build(seed)
-				h, _, err := ModifiedGreedy(g, 2, 1, lbc.Vertex)
+				h, _, err := modifiedGreedy(g, 2, 1, lbc.Vertex)
 				if err != nil {
 					t.Fatal(err)
 				}

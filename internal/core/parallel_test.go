@@ -72,11 +72,11 @@ func TestModifiedGreedyWithReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []lbc.Mode{lbc.Vertex, lbc.Edge} {
-			want, wantStats, err := ModifiedGreedy(g, 2, 1, mode)
+			want, wantStats, err := modifiedGreedy(g, 2, 1, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, stats, err := ModifiedGreedyWith(s, g, 2, 1, mode)
+			got, _, stats, err := Build(g, Params{K: 2, F: 1, Mode: mode, Searchers: []*sp.Searcher{s}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,6 +84,30 @@ func TestModifiedGreedyWithReuse(t *testing.T) {
 			if stats != wantStats {
 				t.Fatalf("trial %d %v: stats %+v vs %+v", trial, mode, stats, wantStats)
 			}
+		}
+	}
+}
+
+// TestBuildUntracedAllocs pins "no per-edge heap allocation beyond spanner
+// growth": a warm one-searcher untraced Build allocates well under one
+// object per edge. A build that cloned a cut or witness per decision (what
+// Trace: true does) would allocate more than one per skipped edge.
+func TestBuildUntracedAllocs(t *testing.T) {
+	g, err := gen.GNP(rand.New(rand.NewSource(84)), 300, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := []*sp.Searcher{sp.NewSearcher(g.N(), g.EdgeIDLimit())}
+	for _, mode := range []lbc.Mode{lbc.Vertex, lbc.Edge} {
+		p := Params{K: 2, F: 2, Mode: mode, Searchers: s}
+		build := func() {
+			if _, _, _, err := Build(g, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build() // warm the searcher
+		if allocs := testing.AllocsPerRun(3, build); allocs >= float64(g.M())/2 {
+			t.Errorf("%v: untraced build allocates %.0f/op for m = %d edges, want < m/2", mode, allocs, g.M())
 		}
 	}
 }

@@ -27,11 +27,14 @@ func TestModifiedGreedyTracedMatchesPlain(t *testing.T) {
 				}
 			}
 			const k, f = 2, 2
-			plain, pStats, err := ModifiedGreedy(g, k, f, mode)
+			plain, none, pStats, err := Build(g, Params{K: k, F: f, Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
-			traced, decisions, tStats, err := ModifiedGreedyTraced(nil, g, k, f, mode)
+			if none != nil {
+				t.Fatalf("untraced build returned %d decisions", len(none))
+			}
+			traced, decisions, tStats, err := Build(g, Params{K: k, F: f, Mode: mode, Trace: true})
 			if err != nil {
 				t.Fatal(err)
 			}

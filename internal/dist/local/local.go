@@ -104,7 +104,7 @@ func FTSpanner(g *graph.Graph, o Options) (*Result, error) {
 			if diam := sp.HopDiameter(sub); diam > res.MaxClusterDiameter {
 				res.MaxClusterDiameter = diam
 			}
-			hc, _, err := core.ModifiedGreedy(sub, o.K, o.F, lbc.Vertex)
+			hc, _, _, err := core.Build(sub, core.Params{K: o.K, F: o.F, Mode: lbc.Vertex})
 			if err != nil {
 				return nil, fmt.Errorf("local: partition %d cluster spanner: %w", p, err)
 			}

@@ -164,7 +164,7 @@ func TestModifiedGreedySparserThanDK11(t *testing.T) {
 		{2, 453, 1029},
 		{4, 597, 1102},
 	} {
-		h, _, err := core.ModifiedGreedy(g, 2, want.f, lbc.Vertex)
+		h, _, _, err := core.Build(g, core.Params{K: 2, F: want.f, Mode: lbc.Vertex})
 		if err != nil {
 			t.Fatal(err)
 		}

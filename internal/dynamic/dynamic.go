@@ -2,7 +2,7 @@
 // under batched edge insertions and deletions, without rebuilding from
 // scratch on every change.
 //
-// The static construction (core.ModifiedGreedy) decides each edge once with
+// The static construction (core.Build) decides each edge once with
 // the Length-Bounded Cut gap decision (lbc.DecideWith). The observation that
 // makes it maintainable is that every decision leaves a compact, locally
 // checkable certificate:
@@ -65,13 +65,13 @@ type Config struct {
 	// DefaultStalenessBudget; values >= 1 effectively disable rebuilds.
 	StalenessBudget float64
 	// BuildParallelism is the worker count for full traced builds — the
-	// initial construction and every staleness-budget rebuild fallback.
-	// Values <= 0 select GOMAXPROCS; 1 forces the sequential builder. More
-	// than one worker routes full builds through the batched engine
-	// (core.ModifiedGreedyBatchedTraced), whose spanner and trace are
-	// byte-identical to the sequential build, so the knob changes wall-clock
-	// only — never the maintained state. Per-edge repair decisions are
-	// unaffected (they are individually tiny).
+	// initial construction and every staleness-budget rebuild fallback —
+	// and so the number of searchers the Maintainer hands core.Build.
+	// Values <= 0 select GOMAXPROCS; 1 runs the sequential loop, more run
+	// the batched rounds, whose spanner and trace are byte-identical to the
+	// sequential build, so the knob changes wall-clock only — never the
+	// maintained state. Per-edge repair decisions are unaffected (they are
+	// individually tiny).
 	BuildParallelism int
 }
 
@@ -103,14 +103,11 @@ type Stats struct {
 	RepairBatches, RebuildBatches int
 	FullBuilds                    int
 	// BuildParallelism is the resolved full-build worker count in effect.
-	// BatchedBuilds counts the FullBuilds that ran on the batched engine
-	// (all of them when BuildParallelism > 1, none otherwise).
 	BuildParallelism int
-	BatchedBuilds    int
 	// BuildRounds and BuildRedecided total the speculate-then-commit rounds
-	// and conflict re-decisions of the batched full builds — the round and
-	// conflict accounting of core.ModifiedGreedyBatched surfaced through
-	// the maintainer (both stay 0 when builds run sequentially).
+	// and conflict re-decisions of the full builds — core.Stats.Rounds and
+	// Redecided surfaced through the maintainer (both stay 0 when
+	// BuildParallelism is 1).
 	BuildRounds, BuildRedecided int
 	// Compactions counts Compact calls: checkpoint barriers that renumbered
 	// the edge-ID space and rebuilt the spanner (each also counts one
@@ -170,15 +167,15 @@ type edgeState struct {
 // one warm searcher, and applies batched updates to both. Not safe for
 // concurrent use.
 type Maintainer struct {
-	cfg     Config
-	budget  float64
-	workers int // resolved full-build parallelism
-	t       int // stretch 2K-1
-	g       *graph.Graph
-	h       *graph.Graph
-	// ss holds one searcher per full-build worker; s aliases ss.Get(0) and
-	// serves every sequential decision (repairs, insertions).
-	ss *sp.SearcherSet
+	cfg    Config
+	budget float64
+	t      int // stretch 2K-1
+	g      *graph.Graph
+	h      *graph.Graph
+	// ss holds one searcher per full-build worker (its length is the
+	// resolved BuildParallelism); s aliases ss[0] and serves every
+	// sequential decision (repairs, insertions).
+	ss []*sp.Searcher
 	s  *sp.Searcher
 
 	// state[gid] is the certificate of live graph edge gid.
@@ -205,18 +202,16 @@ func New(g *graph.Graph, cfg Config) (*Maintainer, error) {
 	if budget <= 0 {
 		budget = DefaultStalenessBudget
 	}
-	workers := sp.Workers(cfg.BuildParallelism)
 	m := &Maintainer{
-		cfg:     cfg,
-		budget:  budget,
-		workers: workers,
-		t:       core.Stretch(cfg.K),
-		g:       g.Clone(),
-		ss:      sp.NewSearcherSet(workers, g.N(), g.EdgeIDLimit()),
+		cfg:    cfg,
+		budget: budget,
+		t:      core.Stretch(cfg.K),
+		g:      g.Clone(),
+		ss:     sp.NewSearchers(cfg.BuildParallelism, g.N(), g.EdgeIDLimit()),
 	}
-	m.s = m.ss.Get(0)
+	m.s = m.ss[0]
 	m.stats.StalenessBudget = budget
-	m.stats.BuildParallelism = workers
+	m.stats.BuildParallelism = len(m.ss)
 	if err := m.rebuild(); err != nil {
 		return nil, err
 	}
@@ -228,7 +223,7 @@ func New(g *graph.Graph, cfg Config) (*Maintainer, error) {
 func (m *Maintainer) Config() Config {
 	cfg := m.cfg
 	cfg.StalenessBudget = m.budget
-	cfg.BuildParallelism = m.workers
+	cfg.BuildParallelism = len(m.ss)
 	return cfg
 }
 
@@ -244,24 +239,12 @@ func (m *Maintainer) Spanner() *graph.Graph { return m.h }
 func (m *Maintainer) Stats() Stats { return m.stats }
 
 // rebuild reconstructs the spanner and every certificate table from scratch
-// with one traced greedy build on the current graph. With BuildParallelism
-// > 1 the build runs on the batched engine, which produces a byte-identical
-// spanner and trace, so the two paths are interchangeable state-wise.
+// with one traced greedy build on the current graph, on the Maintainer's
+// searchers (the trace is the same for every worker count).
 func (m *Maintainer) rebuild() error {
-	var h *graph.Graph
-	var decisions []core.EdgeDecision
-	var bstats core.Stats
-	var err error
-	if m.workers > 1 {
-		h, decisions, bstats, err = core.ModifiedGreedyBatchedTraced(m.ss, m.g, m.cfg.K, m.cfg.F, m.cfg.Mode)
-	} else {
-		h, decisions, bstats, err = core.ModifiedGreedyTraced(m.s, m.g, m.cfg.K, m.cfg.F, m.cfg.Mode)
-	}
+	h, decisions, bstats, err := core.Build(m.g, core.Params{K: m.cfg.K, F: m.cfg.F, Mode: m.cfg.Mode, Searchers: m.ss, Trace: true})
 	if err != nil {
 		return fmt.Errorf("dynamic: build: %w", err)
-	}
-	if m.workers > 1 {
-		m.stats.BatchedBuilds++
 	}
 	m.stats.BuildRounds += bstats.Rounds
 	m.stats.BuildRedecided += bstats.Redecided

@@ -139,7 +139,7 @@ func (c *churner) checkState(trials int) {
 		c.t.Fatalf("maintained spanner violates the property: %v", rep.Violation)
 	}
 	// The from-scratch build on the same graph must pass too (gate sanity).
-	fresh, _, err := core.ModifiedGreedy(g, c.cfg.K, c.cfg.F, c.cfg.Mode)
+	fresh, _, _, err := core.Build(g, core.Params{K: c.cfg.K, F: c.cfg.F, Mode: c.cfg.Mode})
 	if err != nil {
 		c.t.Fatalf("from-scratch build: %v", err)
 	}

@@ -123,7 +123,7 @@ func Decide(g graph.View, u, v, t, alpha int, mode Mode) (Result, error) {
 // and on exit (both O(1)), so s carries no state between calls and stays
 // safe for direct Dist/BFS use afterwards.
 //
-// Concurrency contract (audited for core.ModifiedGreedyBatched): DecideWith
+// Concurrency contract (audited for core.Build's batched rounds): DecideWith
 // treats g strictly read-only — every mutation it performs (fault mask,
 // scratch, BFS state, the optional expanded-vertex log) lands in s. Distinct
 // Searchers may therefore run DecideWith concurrently against a shared

@@ -125,7 +125,6 @@ func newMetrics(o *Oracle) *metricsSet {
 	reg.CounterFunc("ftspanner_maintainer_repair_batches_total", "batches serviced by edge-by-edge repair", func() float64 { return float64(o.snap.Load().maint.RepairBatches) })
 	reg.CounterFunc("ftspanner_maintainer_rebuild_batches_total", "batches serviced by a full rebuild", func() float64 { return float64(o.snap.Load().maint.RebuildBatches) })
 	reg.CounterFunc("ftspanner_maintainer_full_builds_total", "traced greedy builds (initial + rebuilds)", func() float64 { return float64(o.snap.Load().maint.FullBuilds) })
-	reg.CounterFunc("ftspanner_maintainer_batched_builds_total", "full builds that ran on the batched speculate-then-commit engine", func() float64 { return float64(o.snap.Load().maint.BatchedBuilds) })
 	reg.CounterFunc("ftspanner_maintainer_build_rounds_total", "speculate-then-commit rounds of the batched full builds", func() float64 { return float64(o.snap.Load().maint.BuildRounds) })
 	reg.CounterFunc("ftspanner_maintainer_build_redecided_total", "speculative decisions invalidated and redone by the batched full builds", func() float64 { return float64(o.snap.Load().maint.BuildRedecided) })
 

@@ -62,9 +62,8 @@ func (s *Searcher) PathWithin(g graph.View, u, v, maxHops int) (vertices, edgeID
 	return s.PathTo(v)
 }
 
-// growHop sizes v's side of the two-ended hop search: labels share seenB
-// (and so the search epoch) with bidi.go, but the Dijkstra-side arrays of
-// growBidi are never allocated for it.
+// growHop sizes v's side of the two-ended hop search; its labels share the
+// search epoch through seenB.
 func (s *Searcher) growHop(n int) {
 	s.seenB = growStamps(s.seenB, n)
 	if n > len(s.distB) {

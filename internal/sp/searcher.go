@@ -18,6 +18,20 @@ func Workers(requested int) int {
 	return requested
 }
 
+// NewSearchers returns one Searcher per worker (workers <= 0 selects
+// GOMAXPROCS, like Workers), each preallocated for graphs with up to n
+// vertices and m edges; pass 0, 0 to size lazily on first use. Worker i
+// uses element i. Callers that keep the slice across rounds and builds grow
+// the scratch once and reuse it, which is what core.Build's batched rounds
+// and the dynamic maintainer's rebuilds rely on.
+func NewSearchers(workers, n, m int) []*Searcher {
+	searchers := make([]*Searcher, Workers(workers))
+	for i := range searchers {
+		searchers[i] = NewSearcher(n, m)
+	}
+	return searchers
+}
+
 // Searcher is a reusable shortest-path engine: it owns all the scratch a
 // BFS or Dijkstra run needs (distance and parent arrays, a ring-buffer
 // queue, a binary heap, path buffers) plus a fault mask with O(1) epoch
@@ -37,7 +51,7 @@ func Workers(requested int) int {
 //
 // A Searcher is NOT safe for concurrent use; give each goroutine its own
 // (see verify.ExhaustiveParallel and core.ExactGreedyParallel for the
-// pattern, and SearcherSet for the helper). Distinct Searchers MAY run
+// pattern, and NewSearchers for the helper). Distinct Searchers MAY run
 // concurrently against the same graph.View as long as nothing mutates the
 // view: every search reads the graph through View accessors only and keeps
 // all mutable state (scratch, masks, logs) on the Searcher itself.
@@ -56,18 +70,12 @@ type Searcher struct {
 	queue []int      // BFS ring buffer, at most one entry per vertex
 	heap  []heapItem // Dijkstra priority queue (lazy deletion)
 
-	// Backward-side scratch for bidirectional search (see bidi.go), grown
-	// lazily by growBidi so one-directional Searchers never allocate it.
-	// The stamp arrays share the search epoch. PathWithin's v side uses only
-	// seenB, distB and queueB, grown by growHop.
-	wdistB   []float64
-	parentVB []int
-	parentEB []int
-	seenB    []uint32
-	doneB    []uint32
-	heapB    []heapItem
-	distB    []int
-	queueB   []int
+	// v-side scratch of PathWithin's two-ended hop search, grown lazily by
+	// growHop so Searchers that never run it pay nothing. seenB shares the
+	// search epoch.
+	seenB  []uint32
+	distB  []int
+	queueB []int
 
 	// Fault mask: vertex u (edge id) is blocked iff the stamp equals
 	// blockEpoch, so ResetBlocked is O(1).
@@ -175,7 +183,6 @@ func (s *Searcher) bumpSearch() {
 		clear(s.seen)
 		clear(s.done)
 		clear(s.seenB)
-		clear(s.doneB)
 		s.epoch = 1
 	}
 }
@@ -219,7 +226,7 @@ func (s *Searcher) EdgeBlocked(id int) bool { return s.blockE[id] == s.blockEpoc
 // log is what makes speculative parallel execution auditable: a hop search
 // on a view is a pure function of the adjacency rows it scanned, so if none
 // of those rows changed, re-running the search yields byte-identical results
-// — the conflict test of core.ModifiedGreedyBatched. Entries may repeat
+// — the conflict test of core.Build's batched rounds. Entries may repeat
 // within and across passes; consumers treat the log as a set.
 //
 // Only the hop searches record — PathWithin (the LBC decide path) and the
@@ -242,15 +249,10 @@ func (s *Searcher) StopExpandedLog() []int {
 	return s.expanded
 }
 
-// BFS computes hop distances from src in g minus the Searcher's fault mask.
-// Read results with HopDistTo.
-func (s *Searcher) BFS(g graph.View, src int) {
-	s.Grow(g.N(), g.EdgeIDLimit())
-	s.bfs(g, src, math.MaxInt, -1)
-}
-
-// BFSBounded is BFS truncated at maxHops, exactly like the package-level
-// BFSBounded: vertices farther than maxHops stay Unreachable.
+// BFSBounded computes hop distances from src in g minus the Searcher's
+// fault mask, truncated at maxHops exactly like the package-level
+// BFSBounded: vertices farther than maxHops stay Unreachable. Read results
+// with HopDistTo.
 func (s *Searcher) BFSBounded(g graph.View, src, maxHops int) {
 	s.Grow(g.N(), g.EdgeIDLimit())
 	s.bfs(g, src, maxHops, -1)
@@ -297,8 +299,8 @@ func (s *Searcher) bfs(g graph.View, src, maxHops, target int) {
 	s.queue = q
 }
 
-// HopDistTo returns the hop distance of v computed by the last BFS /
-// BFSBounded call, or Unreachable.
+// HopDistTo returns the hop distance of v computed by the last hop search
+// (BFSBounded, or the BFS behind Dist on unweighted graphs), or Unreachable.
 func (s *Searcher) HopDistTo(v int) int {
 	if s.seen[v] != s.epoch {
 		return Unreachable
@@ -306,24 +308,9 @@ func (s *Searcher) HopDistTo(v int) int {
 	return s.dist[v]
 }
 
-// HopDist runs a BFS bounded at maxHops from u and returns the hop distance
-// to v (Unreachable if none within the bound). The search stops early once
-// v is reached.
-func (s *Searcher) HopDist(g graph.View, u, v, maxHops int) int {
-	s.Grow(g.N(), g.EdgeIDLimit())
-	if u == v {
-		if s.VertexBlocked(u) {
-			return Unreachable
-		}
-		return 0
-	}
-	s.bfs(g, u, maxHops, v)
-	return s.HopDistTo(v)
-}
-
 // PathTo reconstructs the path from the most recent search's source to v, as
-// a vertex sequence and the corresponding edge IDs. It is valid after BFS,
-// BFSBounded, and Dijkstra (for Dijkstra, only for vertices whose distance
+// a vertex sequence and the corresponding edge IDs. It is valid after
+// BFSBounded and Dijkstra (for Dijkstra, only for vertices whose distance
 // is final: any vertex when the search ran to exhaustion, or the target and
 // its tree ancestors when it stopped early). The slices alias the Searcher's
 // path buffers: valid until the next call, copy to retain. ok is false if v

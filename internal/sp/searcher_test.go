@@ -3,6 +3,7 @@ package sp
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -346,8 +347,8 @@ func TestSearcherBlockedReset(t *testing.T) {
 		}
 	}
 	// Distances unaffected by an old mask.
-	if d := s.HopDist(g, 0, 1, math.MaxInt); d != 1 {
-		t.Fatalf("HopDist = %d, want 1", d)
+	if d := s.Dist(g, 0, 1); d != 1 {
+		t.Fatalf("Dist = %v, want 1", d)
 	}
 }
 
@@ -399,5 +400,32 @@ func TestSearcherGrowPreservesMask(t *testing.T) {
 	}
 	if s.VertexBlocked(99) || s.EdgeBlocked(49) {
 		t.Error("Grow introduced spurious blocks")
+	}
+}
+
+// TestNewSearchersReuse pins the contract the batched builder depends on:
+// one distinct Searcher per worker, each preallocated to the hint.
+func TestNewSearchersReuse(t *testing.T) {
+	ss := NewSearchers(4, 16, 32)
+	if len(ss) != 4 {
+		t.Fatalf("len = %d, want 4", len(ss))
+	}
+	for i, s := range ss {
+		for j := 0; j < i; j++ {
+			if ss[j] == s {
+				t.Fatalf("workers %d and %d share a Searcher", j, i)
+			}
+		}
+		if len(s.dist) < 16 || len(s.blockE) < 32 {
+			t.Fatalf("worker %d: scratch (%d, %d) below the (16, 32) hint", i, len(s.dist), len(s.blockE))
+		}
+	}
+}
+
+func TestNewSearchersDefaultWorkers(t *testing.T) {
+	for _, req := range []int{0, -3} {
+		if got := len(NewSearchers(req, 0, 0)); got != runtime.GOMAXPROCS(0) {
+			t.Fatalf("len(NewSearchers(%d)) = %d, want GOMAXPROCS %d", req, got, runtime.GOMAXPROCS(0))
+		}
 	}
 }

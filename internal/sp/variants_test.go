@@ -11,7 +11,7 @@ import (
 // Weights in these tests are dyadic rationals (k/16), so path-weight sums
 // are exact in float64 regardless of association order. That lets the
 // equivalence checks demand strict == between search variants that add the
-// same weights in different orders (bidirectional sums from both ends).
+// same weights in different orders.
 func dyadicWeight(rng *rand.Rand, allowZero bool) float64 {
 	k := rng.Intn(64)
 	if k == 0 && !allowZero {
@@ -155,9 +155,9 @@ func checkVariantPath(t *testing.T, g graph.View, mask Blocked, u, v int, dist f
 }
 
 // TestSearchVariantEquivalence runs 500 random (u, v, faults) triples per
-// graph class and demands that the bounded-radius and bidirectional variants
-// agree exactly with the reference full search, on both the slice-backed
-// graph and its CSR snapshot. Radius cases include the target exactly at the
+// graph class and demands that the bounded-radius variants agree exactly
+// with the reference full search, on both the slice-backed graph and its
+// CSR snapshot. Radius cases include the target exactly at the
 // bound, just inside it, and unreachable pairs.
 func TestSearchVariantEquivalence(t *testing.T) {
 	for _, class := range variantClasses() {
@@ -187,14 +187,6 @@ func TestSearchVariantEquivalence(t *testing.T) {
 					if got := s.Dist(view.v, u, v); got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
 						t.Fatalf("trial %d %s: Dist(%d,%d) = %v, want %v", trial, view.name, u, v, got, want)
 					}
-					got, pv, pe := s.DistPathBidi(view.v, u, v)
-					if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-						t.Fatalf("trial %d %s: DistPathBidi(%d,%d) = %v, want %v", trial, view.name, u, v, got, want)
-					}
-					if !math.IsInf(got, 1) {
-						checkVariantPath(t, view.v, mask, u, v, got, pv, pe)
-					}
-
 					// Bounded: far beyond, exactly at, just inside, and a
 					// random radius.
 					if got := s.DistWithin(view.v, u, v, math.Inf(1)); got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
@@ -216,7 +208,7 @@ func TestSearchVariantEquivalence(t *testing.T) {
 						}
 					}
 					r := float64(rng.Intn(200)) / 16
-					got = s.DistWithin(view.v, u, v, r)
+					got := s.DistWithin(view.v, u, v, r)
 					if want <= r {
 						if got != want {
 							t.Fatalf("trial %d %s: DistWithin(%v) = %v, want %v", trial, view.name, r, got, want)
@@ -239,17 +231,14 @@ func TestVariantEdgeCases(t *testing.T) {
 	// vertex 4 isolated
 	s := NewSearcher(g.N(), g.EdgeIDLimit())
 	for _, view := range []graph.View{g, graph.BuildCSR(g)} {
-		if d := s.DistBidi(view, 0, 2); d != 0 {
-			t.Fatalf("zero-weight chain: DistBidi = %v, want 0", d)
+		if d := s.Dist(view, 0, 2); d != 0 {
+			t.Fatalf("zero-weight chain: Dist = %v, want 0", d)
 		}
 		if d := s.DistWithin(view, 0, 2, 0); d != 0 {
 			t.Fatalf("zero-weight chain within radius 0: %v, want 0", d)
 		}
-		if d := s.DistBidi(view, 0, 4); !math.IsInf(d, 1) {
-			t.Fatalf("unreachable: DistBidi = %v, want +Inf", d)
-		}
-		if d, pv, pe := s.DistPathBidi(view, 0, 4); !math.IsInf(d, 1) || pv != nil || pe != nil {
-			t.Fatalf("unreachable: DistPathBidi = %v %v %v", d, pv, pe)
+		if d, pv, pe := s.DistPathWithin(view, 0, 4, math.Inf(1)); !math.IsInf(d, 1) || pv != nil || pe != nil {
+			t.Fatalf("unreachable: DistPathWithin = %v %v %v", d, pv, pe)
 		}
 		if d := s.DistWithin(view, 0, 3, 1.5); d != 1.5 {
 			t.Fatalf("target exactly at radius: %v, want 1.5", d)
@@ -263,16 +252,16 @@ func TestVariantEdgeCases(t *testing.T) {
 		if d := s.DistWithin(view, 0, 1, math.NaN()); !math.IsInf(d, 1) {
 			t.Fatalf("NaN radius: %v, want +Inf", d)
 		}
-		if d, pv, _ := s.DistPathBidi(view, 3, 3); d != 0 || len(pv) != 1 || pv[0] != 3 {
+		if d, pv, _ := s.DistPathWithin(view, 3, 3, 0); d != 0 || len(pv) != 1 || pv[0] != 3 {
 			t.Fatalf("self pair: %v %v", d, pv)
 		}
 		s.ResetBlocked()
 		s.BlockVertex(0)
-		if d := s.DistBidi(view, 0, 1); !math.IsInf(d, 1) {
-			t.Fatalf("blocked source: DistBidi = %v, want +Inf", d)
+		if d := s.DistWithin(view, 0, 1, 4); !math.IsInf(d, 1) {
+			t.Fatalf("blocked source: DistWithin = %v, want +Inf", d)
 		}
-		if d := s.DistBidi(view, 1, 0); !math.IsInf(d, 1) {
-			t.Fatalf("blocked target: DistBidi = %v, want +Inf", d)
+		if d := s.DistWithin(view, 1, 0, 4); !math.IsInf(d, 1) {
+			t.Fatalf("blocked target: DistWithin = %v, want +Inf", d)
 		}
 		s.ResetBlocked()
 	}
@@ -295,12 +284,9 @@ func TestVariantAllocs(t *testing.T) {
 	}
 	var csr graph.View = graph.BuildCSR(g)
 	s := NewSearcher(g.N(), g.EdgeIDLimit())
-	s.DistBidi(csr, 0, n-1) // warm the lazy backward scratch
 	for name, fn := range map[string]func(){
 		"Dist":           func() { s.Dist(csr, 1, n-2) },
 		"DistWithin":     func() { s.DistWithin(csr, 1, n-2, 4) },
-		"DistBidi":       func() { s.DistBidi(csr, 1, n-2) },
-		"DistPathBidi":   func() { s.DistPathBidi(csr, 1, n-2) },
 		"DistPathWithin": func() { s.DistPathWithin(csr, 1, n-2, 8) },
 	} {
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {

@@ -39,7 +39,7 @@ func TestExhaustiveParallelEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []lbc.Mode{lbc.Vertex, lbc.Edge} {
-			h, _, err := core.ModifiedGreedy(g, 2, 2, mode)
+			h, _, _, err := core.Build(g, core.Params{K: 2, F: 2, Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestSampledParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, _, err := core.ModifiedGreedy(g, 2, 2, lbc.Vertex)
+	h, _, _, err := core.Build(g, core.Params{K: 2, F: 2, Mode: lbc.Vertex})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func benchmarkExhaustive(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	h, _, err := core.ModifiedGreedy(g, 2, 2, lbc.Vertex)
+	h, _, _, err := core.Build(g, core.Params{K: 2, F: 2, Mode: lbc.Vertex})
 	if err != nil {
 		b.Fatal(err)
 	}
