@@ -16,10 +16,13 @@ import (
 // independent local decisions computed in parallel against a frozen snapshot,
 // followed by a canonical serial conflict-resolution step.
 //
-// Round structure. The canonical consideration order is cut into rounds. For
-// each round every edge's LBC gap decision is speculated in parallel against
-// the spanner frozen at round start, one warm sp.Searcher per worker. The
-// commit phase then walks the round in canonical order: a decision is kept
+// Round structure. The canonical consideration order — one edgeRec (ID,
+// endpoints, weight) per edge, gathered once by considerationOrder — is cut
+// into rounds, and both phases read their round's slice of that record
+// stream in sequence instead of looking edges up by ID. For each round every
+// edge's LBC gap decision is speculated in parallel against the spanner
+// frozen at round start, one warm sp.Searcher per worker. The commit phase
+// then walks the round in canonical order: a decision is kept
 // as-is when it is provably still the decision the sequential greedy would
 // have made, and re-decided serially (against the now-updated spanner)
 // otherwise. Accepted edges are appended to the spanner immediately, exactly
@@ -96,11 +99,10 @@ type specDecision struct {
 // scratch. TestModifiedGreedyBatchedRoundReuse pins that rounds allocate
 // nothing beyond spanner growth.
 type batchedBuilder struct {
-	g         graph.View
 	h         *graph.Graph
 	t, f      int
 	mode      lbc.Mode
-	order     []int
+	order     []edgeRec
 	searchers []*sp.Searcher
 	traced    bool
 
@@ -126,7 +128,7 @@ type batchedBuilder struct {
 // assumed validated and len(searchers) > 1. A non-nil trace receives every
 // committed decision with retainable certificate copies, exactly like
 // greedySequential.
-func greedyBatched(searchers []*sp.Searcher, g graph.View, k, f int, mode lbc.Mode, order []int, stats *Stats, trace *[]EdgeDecision) (*graph.Graph, error) {
+func greedyBatched(searchers []*sp.Searcher, g graph.View, k, f int, mode lbc.Mode, order []edgeRec, stats *Stats, trace *[]EdgeDecision) (*graph.Graph, error) {
 	workers := len(searchers)
 	for _, s := range searchers {
 		s.Grow(g.N(), g.EdgeIDLimit())
@@ -138,7 +140,6 @@ func greedyBatched(searchers []*sp.Searcher, g graph.View, k, f int, mode lbc.Mo
 		specCap = len(order)
 	}
 	b := &batchedBuilder{
-		g:         g,
 		h:         graph.NewLike(g),
 		t:         Stretch(k),
 		f:         f,
@@ -228,13 +229,12 @@ func (b *batchedBuilder) worker(w int) {
 // entries of its own stride, and reads b.h, which no one mutates between the
 // round's dispatch and its barrier.
 func (b *batchedBuilder) speculate(s *sp.Searcher, w, i, lo int) {
-	id := b.order[i]
-	e := b.g.Edge(id)
+	u, v := int(b.order[i].u), int(b.order[i].v)
 	s.StartExpandedLog()
-	res, err := lbc.DecideWith(s, b.h, e.U, e.V, b.t, b.f, b.mode)
+	res, err := lbc.DecideWith(s, b.h, u, v, b.t, b.f, b.mode)
 	read := s.StopExpandedLog()
 	if err != nil {
-		b.errs[w] = fmt.Errorf("core: LBC on edge {%d,%d}: %w", e.U, e.V, err)
+		b.errs[w] = fmt.Errorf("core: LBC on edge {%d,%d}: %w", u, v, err)
 		b.errIdx[w] = i
 		return
 	}
@@ -287,14 +287,14 @@ func (b *batchedBuilder) commitRound(lo, hi int, stats *Stats, trace *[]EdgeDeci
 	s0 := b.searchers[0]
 	for i := lo; i < hi; i++ {
 		d := &b.spec[i-lo]
-		id := b.order[i]
-		e := b.g.Edge(id)
+		e := &b.order[i]
+		u, v := int(e.u), int(e.v)
 		yes, passes := d.yes, int(d.passes)
 		cut, witness := d.cut, d.witness
 		if accepts > 0 && (d.capped || b.readSetDirty(d)) {
-			res, err := lbc.DecideWith(s0, b.h, e.U, e.V, b.t, b.f, b.mode)
+			res, err := lbc.DecideWith(s0, b.h, u, v, b.t, b.f, b.mode)
 			if err != nil {
-				return fmt.Errorf("core: LBC on edge {%d,%d}: %w", e.U, e.V, err)
+				return fmt.Errorf("core: LBC on edge {%d,%d}: %w", u, v, err)
 			}
 			stats.Redecided++
 			yes, passes = res.Yes, res.Passes
@@ -309,13 +309,13 @@ func (b *batchedBuilder) commitRound(lo, hi int, stats *Stats, trace *[]EdgeDeci
 		stats.BFSPasses += passes
 		hid := -1
 		if yes {
-			hid = b.h.MustAddEdgeW(e.U, e.V, e.W)
-			b.dirty[e.U] = b.dirtyEpoch
-			b.dirty[e.V] = b.dirtyEpoch
+			hid = b.h.MustAddEdgeW(u, v, e.w)
+			b.dirty[u] = b.dirtyEpoch
+			b.dirty[v] = b.dirtyEpoch
 			accepts++
 		}
 		if trace != nil {
-			*trace = append(*trace, EdgeDecision{GEdgeID: id, Added: yes, HEdgeID: hid, Cut: cut, Witness: witness, Passes: passes})
+			*trace = append(*trace, EdgeDecision{GEdgeID: int(e.id), Added: yes, HEdgeID: hid, Cut: cut, Witness: witness, Passes: passes})
 		}
 	}
 	return nil

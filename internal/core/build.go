@@ -106,10 +106,10 @@ func Build(g graph.View, p Params) (*graph.Graph, []EdgeDecision, Stats, error) 
 
 // greedySequential is the edge loop itself: one lbc decision per edge of
 // order against the spanner so far. Parameters are assumed validated; order
-// need only list live edge IDs of g (TestWeightOrderingIsLoadBearing passes
-// a heavy-first one). A nil s allocates a fresh searcher. A non-nil trace
+// need only hold live edges of g (TestWeightOrderingIsLoadBearing passes a
+// heavy-first one). A nil s allocates a fresh searcher. A non-nil trace
 // receives every decision with retainable certificate copies.
-func greedySequential(s *sp.Searcher, g graph.View, k, f int, mode lbc.Mode, order []int, stats *Stats, trace *[]EdgeDecision) (*graph.Graph, error) {
+func greedySequential(s *sp.Searcher, g graph.View, k, f int, mode lbc.Mode, order []edgeRec, stats *Stats, trace *[]EdgeDecision) (*graph.Graph, error) {
 	if s == nil {
 		s = sp.NewSearcher(g.N(), g.EdgeIDLimit())
 	} else {
@@ -117,21 +117,21 @@ func greedySequential(s *sp.Searcher, g graph.View, k, f int, mode lbc.Mode, ord
 	}
 	t := Stretch(k)
 	h := graph.NewLike(g)
-	for _, id := range order {
-		e := g.Edge(id)
+	for _, e := range order {
+		u, v := int(e.u), int(e.v)
 		stats.EdgesConsidered++
-		res, err := lbc.DecideWith(s, h, e.U, e.V, t, f, mode)
+		res, err := lbc.DecideWith(s, h, u, v, t, f, mode)
 		if err != nil {
-			return nil, fmt.Errorf("core: LBC on edge {%d,%d}: %w", e.U, e.V, err)
+			return nil, fmt.Errorf("core: LBC on edge {%d,%d}: %w", u, v, err)
 		}
 		stats.BFSPasses += res.Passes
 		hid := -1
 		if res.Yes {
-			hid = h.MustAddEdgeW(e.U, e.V, e.W)
+			hid = h.MustAddEdgeW(u, v, e.w)
 		}
 		if trace != nil {
 			// res.Cut / res.PathEdges alias searcher scratch; keep copies.
-			d := EdgeDecision{GEdgeID: id, Added: res.Yes, HEdgeID: hid, Passes: res.Passes}
+			d := EdgeDecision{GEdgeID: int(e.id), Added: res.Yes, HEdgeID: hid, Passes: res.Passes}
 			if res.Yes {
 				d.Cut = cloneInts(res.Cut)
 			} else {

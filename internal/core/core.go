@@ -76,6 +76,9 @@ func validateParams(g graph.View, k, f int, mode lbc.Mode) error {
 	if mode != lbc.Vertex && mode != lbc.Edge {
 		return fmt.Errorf("core: invalid fault mode %v", mode)
 	}
+	if n, ids := g.N(), g.EdgeIDLimit(); n > math.MaxInt32 || ids > math.MaxInt32 {
+		return fmt.Errorf("core: graph with %d vertices and %d edge IDs exceeds the int32 edge records", n, ids)
+	}
 	return nil
 }
 
@@ -109,20 +112,20 @@ func ExactGreedyParallel(g graph.View, k, f int, mode lbc.Mode, workers int) (*g
 	order := considerationOrder(g)
 	// One searcher per worker, reused across every edge of the build.
 	searchers := sp.NewSearchers(workers, g.N(), g.M())
-	for _, id := range order {
-		e := g.Edge(id)
+	for _, e := range order {
+		u, v := int(e.u), int(e.v)
 		stats.EdgesConsidered++
-		threshold := float64(t) * e.W
+		threshold := float64(t) * e.w
 		var bad bool
 		var tried int64
 		if len(searchers) == 1 {
-			bad, tried = existsFaultSetExceeding(searchers[0], h, e.U, e.V, f, threshold, mode)
+			bad, tried = existsFaultSetExceeding(searchers[0], h, u, v, f, threshold, mode)
 		} else {
-			bad, tried = existsFaultSetExceedingParallel(searchers, h, e.U, e.V, f, threshold, mode)
+			bad, tried = existsFaultSetExceedingParallel(searchers, h, u, v, f, threshold, mode)
 		}
 		stats.FaultSetsTried += tried
 		if bad {
-			h.MustAddEdgeW(e.U, e.V, e.W)
+			h.MustAddEdgeW(u, v, e.w)
 		}
 	}
 	stats.EdgesAdded = h.M()
@@ -248,14 +251,35 @@ func existsFaultSetExceedingParallel(searchers []*sp.Searcher, h *graph.Graph, u
 	return found.Load(), tried.Load()
 }
 
-// considerationOrder is the canonical greedy order: ascending live edge ID
-// (insertion order) on unweighted graphs, nondecreasing weight on weighted
-// graphs. Both skip the dead edge-ID slots left by graph.RemoveEdge.
-func considerationOrder(g graph.View) []int {
+// edgeRec is one edge of the consideration order with its endpoints and
+// weight gathered next to its ID, so the edge loops read the order as one
+// sequential stream instead of fetching each edge through the View at a
+// random ID. 24 bytes; validateParams keeps vertex and edge IDs in int32.
+type edgeRec struct {
+	w        float64
+	id, u, v int32
+}
+
+// considerationOrder is the canonical greedy order, one record per edge:
+// ascending live edge ID (insertion order) on unweighted graphs; on
+// weighted graphs nondecreasing weight with ties by ID, the radix sort of
+// EdgeIDsByWeight (-0 and +0 tie). Both skip the dead edge-ID slots left by
+// graph.RemoveEdge. The ID list is dropped once the records are gathered.
+func considerationOrder(g graph.View) []edgeRec {
 	if g.Weighted() {
-		return g.EdgeIDsByWeight()
+		return gatherEdges(g, g.EdgeIDsByWeight())
 	}
-	return g.EdgeIDs()
+	return gatherEdges(g, g.EdgeIDs())
+}
+
+// gatherEdges reads the edges of ids, in that order, into records.
+func gatherEdges(g graph.View, ids []int) []edgeRec {
+	order := make([]edgeRec, len(ids))
+	for i, id := range ids {
+		e := g.Edge(id)
+		order[i] = edgeRec{w: e.W, id: int32(id), u: int32(e.U), v: int32(e.V)}
+	}
+	return order
 }
 
 // SizeBound returns the paper's Theorem 8 size bound k·f^(1-1/k)·n^(1+1/k)

@@ -199,7 +199,7 @@ func TestWeightOrderingIsLoadBearing(t *testing.T) {
 		light := g.MustAddEdgeW(0, 3, 1)
 		badOrder := append(append([]int{}, heavy...), light)
 
-		h, err := greedySequential(nil, g, 2, 1, lbc.Vertex, badOrder, new(Stats), nil)
+		h, err := greedySequential(nil, g, 2, 1, lbc.Vertex, gatherEdges(g, badOrder), new(Stats), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestWeightOrderingIsLoadBearing(t *testing.T) {
 			{"sorted", adv.EdgeIDsByWeight(), true},
 			{"insertion", insertion, false},
 		} {
-			h, err := greedySequential(nil, adv, 2, 1, lbc.Vertex, tc.order, new(Stats), nil)
+			h, err := greedySequential(nil, adv, 2, 1, lbc.Vertex, gatherEdges(adv, tc.order), new(Stats), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,8 +37,9 @@
 package dynamic
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ftspanner/internal/core"
 	"ftspanner/internal/graph"
@@ -519,12 +520,11 @@ func (m *Maintainer) recordIfEnteredH(delta *Delta, gid int) {
 // the weighted greedy's consideration order. On unweighted graphs all
 // weights are 1, so this is ascending ID order.
 func (m *Maintainer) sortByWeight(ids []int) {
-	sort.Slice(ids, func(a, b int) bool {
-		wa, wb := m.g.Weight(ids[a]), m.g.Weight(ids[b])
-		if wa != wb {
-			return wa < wb
+	slices.SortFunc(ids, func(a, b int) int {
+		if c := cmp.Compare(m.g.Weight(a), m.g.Weight(b)); c != 0 {
+			return c
 		}
-		return ids[a] < ids[b]
+		return cmp.Compare(a, b)
 	})
 }
 

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // View is the read-only adjacency interface shared by *Graph and *CSR.
 // Every search and construction algorithm in this module reads a graph
@@ -240,12 +237,11 @@ func (c *CSR) EdgeIDs() []int {
 }
 
 // EdgeIDsByWeight returns all live edge IDs sorted by nondecreasing weight,
-// breaking ties by edge ID, matching Graph.EdgeIDsByWeight.
+// breaking ties by edge ID; the same radix sort as Graph.EdgeIDsByWeight,
+// so both representations give the same order.
 func (c *CSR) EdgeIDsByWeight() []int {
 	ids := c.EdgeIDs()
-	sort.SliceStable(ids, func(a, b int) bool {
-		return c.edges[ids[a]].W < c.edges[ids[b]].W
-	})
+	sortByWeight(ids, c.edges)
 	return ids
 }
 

@@ -21,7 +21,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Edge is an undirected edge {U, V} with weight W.
@@ -346,14 +345,14 @@ func NewLike(g View) *Graph {
 }
 
 // EdgeIDsByWeight returns all live edge IDs sorted by nondecreasing weight,
-// breaking ties by edge ID so the order is deterministic. This is the
-// consideration order of the weighted greedy algorithms (Algorithm 1 and
-// Algorithm 4 in the paper).
+// breaking ties by edge ID so the order is deterministic; -0 and +0 weights
+// tie. This is the consideration order of the weighted greedy algorithms
+// (Algorithm 1 and Algorithm 4 in the paper). It costs O(m) plus a few
+// linear radix passes over the weight bits (see sortByWeight), not a
+// comparison sort.
 func (g *Graph) EdgeIDsByWeight() []int {
 	ids := g.EdgeIDs()
-	sort.SliceStable(ids, func(a, b int) bool {
-		return g.edges[ids[a]].W < g.edges[ids[b]].W
-	})
+	sortByWeight(ids, g.edges)
 	return ids
 }
 

@@ -49,10 +49,11 @@
 package oracle
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -484,7 +485,7 @@ func (o *Oracle) canonFaultSet(opts QueryOptions) (string, error) {
 			return "", nil
 		}
 		ids := append([]int(nil), opts.FaultVertices...)
-		sort.Ints(ids)
+		slices.Sort(ids)
 		uniq := ids[:0]
 		for i, id := range ids {
 			if id < 0 || id >= o.n {
@@ -521,11 +522,11 @@ func (o *Oracle) canonFaultSet(opts QueryOptions) (string, error) {
 			}
 			pairs[i] = [2]int{u, v}
 		}
-		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a][0] != pairs[b][0] {
-				return pairs[a][0] < pairs[b][0]
+		slices.SortFunc(pairs, func(a, b [2]int) int {
+			if c := cmp.Compare(a[0], b[0]); c != 0 {
+				return c
 			}
-			return pairs[a][1] < pairs[b][1]
+			return cmp.Compare(a[1], b[1])
 		})
 		uniq := pairs[:0]
 		for i, p := range pairs {

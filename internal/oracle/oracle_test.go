@@ -3,6 +3,7 @@ package oracle
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -135,6 +136,56 @@ func TestCacheEpochSemantics(t *testing.T) {
 	}
 	if want := 1.0 / 3.0; st.HitRate != want {
 		t.Fatalf("hit rate %v, want %v (hits / consulted)", st.HitRate, want)
+	}
+}
+
+// The edge-mode twin of the permuted+duplicated check above: fault edges
+// given reversed, permuted or more than once are one canonical cache key and
+// one answer.
+func TestCacheKeyCanonicalEdgeFaults(t *testing.T) {
+	g := mustGNP(t, 21, 40, 8)
+	o, err := New(g, Config{K: 2, F: 3, Mode: lbc.Edge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := g.Adj(1)[0].To, g.Adj(1)[1].To
+	c := g.Adj(30)[0].To
+	faults := [][2]int{{1, a}, {1, b}, {30, c}}
+	shuffled := [][2]int{{c, 30}, {1, a}, {b, 1}, {a, 1}, {30, c}}
+	k1, err := o.canonFaults(QueryOptions{FaultEdges: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, err := o.canonFaults(QueryOptions{FaultEdges: shuffled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1 != k2 {
+		t.Fatalf("canonical keys differ: %x vs %x", k1, k2)
+	}
+	r1, err := o.Query(1, 30, QueryOptions{FaultEdges: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.CacheHit {
+		t.Fatal("first query hit the cache")
+	}
+	r2, err := o.Query(1, 30, QueryOptions{FaultEdges: shuffled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r2.CacheHit {
+		t.Fatal("reversed+permuted+duplicated fault edges did not hit the canonical cache key")
+	}
+	if r2.Distance != r1.Distance || r2.Epoch != r1.Epoch || !slices.Equal(r2.Path, r1.Path) {
+		t.Fatalf("cached answer diverged: %+v vs %+v", r2, r1)
+	}
+	r3, err := o.Query(1, 30, QueryOptions{FaultEdges: shuffled, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r3.CacheHit || r3.Distance != r1.Distance {
+		t.Fatalf("recomputed answer %+v, cached %+v", r3, r1)
 	}
 }
 
