@@ -29,6 +29,10 @@
 // With -graph the graph is read from the file; otherwise a G(n, p) sample
 // with expected degree -deg is generated from -seed.
 //
+// Each /query runs on its request's goroutine. A cache-miss search that is
+// still running at -query-timeout, or whose client has gone away, stops
+// where it is and the request answers 503; cache hits never search.
+//
 // Durability: -wal names a directory holding the append-only churn log and
 // periodic checkpoints. On a fresh directory the server builds the graph
 // and logs every accepted batch write-ahead; on a directory with state it
@@ -126,7 +130,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		pprofOn     = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
 		logRequests = fs.Bool("log-requests", false, "log one line per request: method, path, status, latency, epoch served")
 
-		queryTimeout = fs.Duration("query-timeout", 10*time.Second, "per-/query serving deadline (0 = unbounded)")
+		queryTimeout = fs.Duration("query-timeout", 10*time.Second, "per-/query deadline: a search still running past it stops and answers 503 (0 = until the client goes away)")
 		readTimeout  = fs.Duration("read-timeout", 10*time.Second, "HTTP server read timeout")
 		writeTimeout = fs.Duration("write-timeout", 30*time.Second, "HTTP server write timeout")
 		idleTimeout  = fs.Duration("idle-timeout", 2*time.Minute, "HTTP server idle connection timeout")

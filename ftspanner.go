@@ -80,21 +80,15 @@ type GraphView = graph.View
 
 // CSR is an immutable flat-adjacency (compressed sparse row) snapshot of a
 // graph: one offsets array and one contiguous half-edge array instead of
-// per-vertex slices. Build one with SnapshotCSR (from a *Graph) or
-// ReadGraphCSR (straight from the text format); it serves the same GraphView
-// interface with better locality and ~half the pointer overhead, which is
-// what the serving and million-node paths want.
+// per-vertex slices. Build one with SnapshotCSR; it serves the same
+// GraphView interface with better locality and ~half the pointer overhead,
+// which is what the serving and million-node paths want.
 type CSR = graph.CSR
 
 // SnapshotCSR builds a CSR snapshot of g, preserving edge IDs and adjacency
 // order exactly, so algorithms running on the snapshot return byte-identical
 // results.
 func SnapshotCSR(g *Graph) *CSR { return graph.BuildCSR(g) }
-
-// ReadGraphCSR decodes a graph from the package's text format directly into
-// a CSR snapshot, holding only the flat arrays — the O(n+m) ingestion path
-// for million-node graphs.
-func ReadGraphCSR(r io.Reader) (*CSR, error) { return graph.ReadCSR(r) }
 
 // FaultMode selects vertex faults (VFT) or edge faults (EFT).
 type FaultMode = lbc.Mode

@@ -50,7 +50,7 @@ var (
 // adjacency order. Searches and greedy builds therefore produce identical
 // results on either representation (pinned by TestCSREquivalence).
 //
-// The zero value is not useful; build one with BuildCSR, NewCSR, or ReadCSR.
+// The zero value is not useful; build one with BuildCSR.
 // A CSR is safe for concurrent readers (nothing mutates it after
 // construction).
 type CSR struct {
@@ -82,81 +82,6 @@ func BuildCSR(g *Graph) *CSR {
 		copy(c.halves[c.offsets[u]:], g.adj[u])
 	}
 	return c
-}
-
-// NewCSR builds a CSR directly from an edge list on n vertices, without an
-// intermediate *Graph: edge i of the slice gets edge ID i, and adjacency
-// order matches a *Graph built by adding the same edges in order. This is
-// the O(n+m)-memory ingestion path (see ReadCSR): the edge slice is adopted,
-// not copied, and the caller must not modify it afterwards.
-//
-// Endpoints are normalized to U < V in place. NewCSR rejects out-of-range
-// endpoints, self-loops, invalid weights (per CheckWeight), and duplicate
-// edges.
-func NewCSR(n int, weighted bool, edges []Edge) (*CSR, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: csr needs n >= 0, got %d", n)
-	}
-	c := &CSR{
-		weighted: weighted,
-		m:        len(edges),
-		offsets:  make([]int, n+1),
-		edges:    edges,
-	}
-	deg := make([]int, n)
-	for i := range edges {
-		e := &edges[i]
-		if e.U > e.V {
-			e.U, e.V = e.V, e.U
-		}
-		if e.U < 0 || e.V >= n {
-			return nil, fmt.Errorf("graph: csr edge {%d,%d} out of range [0,%d)", e.U, e.V, n)
-		}
-		if e.U == e.V {
-			return nil, fmt.Errorf("graph: csr self-loop at vertex %d", e.U)
-		}
-		if err := checkWeight(weighted, e.W); err != nil {
-			return nil, fmt.Errorf("%w for edge {%d,%d}", err, e.U, e.V)
-		}
-		deg[e.U]++
-		deg[e.V]++
-	}
-	total := 0
-	for u := 0; u < n; u++ {
-		c.offsets[u] = total
-		total += deg[u]
-	}
-	c.offsets[n] = total
-	c.halves = make([]HalfEdge, total)
-	// cursor doubles as the fill position; it starts at each offset and ends
-	// at the next one.
-	cursor := append([]int(nil), c.offsets[:n]...)
-	for id, e := range edges {
-		c.halves[cursor[e.U]] = HalfEdge{To: e.V, ID: id}
-		cursor[e.U]++
-		c.halves[cursor[e.V]] = HalfEdge{To: e.U, ID: id}
-		cursor[e.V]++
-	}
-	// Duplicate detection in O(n+m): stamp each neighborhood's endpoints.
-	stamp := make([]int, n)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	for u := 0; u < n; u++ {
-		for _, he := range c.Adj(u) {
-			if stamp[he.To] == u {
-				return nil, fmt.Errorf("graph: csr duplicate edge {%d,%d}", u, he.To)
-			}
-			stamp[he.To] = u
-		}
-	}
-	return c, nil
-}
-
-// checkWeight is CheckWeight without a graph value, for CSR construction.
-func checkWeight(weighted bool, w float64) error {
-	tmp := Graph{weighted: weighted}
-	return CheckWeight(&tmp, w)
 }
 
 // Weighted reports whether the snapshot carries edge weights.

@@ -139,73 +139,8 @@ func findNonEdge(g *Graph) (int, int) {
 	panic("complete graph")
 }
 
-func TestNewCSRMatchesIncrementalGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + rng.Intn(30)
-		weighted := trial%2 == 0
-		var g *Graph
-		if weighted {
-			g = NewWeighted(n)
-		} else {
-			g = New(n)
-		}
-		var edges []Edge
-		for try := 0; try < 3*n; try++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v || g.HasEdge(u, v) {
-				continue
-			}
-			w := 1.0
-			if weighted {
-				w = rng.Float64() * 10
-			}
-			g.MustAddEdgeW(u, v, w)
-			edges = append(edges, Edge{U: u, V: v, W: w})
-		}
-		c, err := NewCSR(n, weighted, edges)
-		if err != nil {
-			t.Fatalf("trial %d: NewCSR: %v", trial, err)
-		}
-		checkCSRMatches(t, g, c)
-	}
-}
-
-func TestNewCSRErrors(t *testing.T) {
-	tests := []struct {
-		name     string
-		n        int
-		weighted bool
-		edges    []Edge
-	}{
-		{"negative n", -1, false, nil},
-		{"endpoint too big", 3, false, []Edge{{U: 0, V: 3, W: 1}}},
-		{"endpoint negative", 3, false, []Edge{{U: -1, V: 2, W: 1}}},
-		{"self loop", 3, false, []Edge{{U: 2, V: 2, W: 1}}},
-		{"duplicate", 3, false, []Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 0, W: 1}}},
-		{"bad weight unweighted", 3, false, []Edge{{U: 0, V: 1, W: 2}}},
-		{"nan weight", 3, true, []Edge{{U: 0, V: 1, W: nan()}}},
-		{"negative weight", 3, true, []Edge{{U: 0, V: 1, W: -1}}},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewCSR(tc.n, tc.weighted, tc.edges); err == nil {
-				t.Errorf("NewCSR(%d, %v, %v) succeeded, want error", tc.n, tc.weighted, tc.edges)
-			}
-		})
-	}
-}
-
-func nan() float64 {
-	z := 0.0
-	return z / z
-}
-
 func TestCSREmpty(t *testing.T) {
-	c, err := NewCSR(0, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := BuildCSR(New(0))
 	if c.N() != 0 || c.M() != 0 {
 		t.Fatalf("empty csr = %v", c)
 	}

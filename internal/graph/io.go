@@ -19,12 +19,9 @@ import (
 // trivial: it round-trips through version control diffs, is easy to generate
 // from other tools, and imposes no dependency.
 //
-// Two access layers share the format. Read/Write materialize a *Graph, which
-// holds the adjacency (two HalfEdges per edge) alongside the edge list being
-// parsed — fine up to ~10^5 edges, wasteful at 10^6+. StreamEdges /
-// StreamWriter / ReadCSR process one edge at a time, so ingesting a
-// million-node graph never holds more than the final representation plus one
-// line of text.
+// Two access layers share the format. Read/Write materialize a *Graph (its
+// edge list plus two HalfEdges per edge). StreamEdges / StreamWriter process
+// one edge at a time and hold nothing beyond one line of text.
 
 // StreamHeader is the parsed `graph <n> <m> <kind>` header line handed to a
 // StreamEdges callback before any edges.
@@ -41,10 +38,10 @@ type StreamHeader struct {
 // Structural validation matches Read: endpoints must lie in [0, n), self-loops
 // and invalid weights are rejected, exactly m edge lines must be present, and
 // trailing non-comment content is an error. Duplicate edges are NOT detected
-// here (that would require O(m) state, defeating streaming); Read, ReadCSR,
-// and NewCSR all layer that check on top. Errors carry the 1-based line
-// number of the offending input line. An error returned by a callback stops
-// the scan and is returned unwrapped.
+// here (that would require O(m) state, defeating streaming); Read layers
+// that check on top. Errors carry the 1-based line number of the offending
+// input line. An error returned by a callback stops the scan and is
+// returned unwrapped.
 func StreamEdges(r io.Reader, header func(StreamHeader) error, edge func(u, v int, w float64) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -228,33 +225,11 @@ func Write(w io.Writer, g View) error {
 	return sw.Close()
 }
 
-// Read decodes a graph from r in the text format produced by Write.
+// Read decodes a graph from r in the text format produced by Write. The
+// whole stream is parsed and validated before the graph is allocated, so a
+// malformed stream is rejected before anything is sized from its header,
+// and no capacity is ever taken from the header's edge count.
 func Read(r io.Reader) (*Graph, error) {
-	var g *Graph
-	err := StreamEdges(r,
-		func(hdr StreamHeader) error {
-			if hdr.Weighted {
-				g = NewWeighted(hdr.N)
-			} else {
-				g = New(hdr.N)
-			}
-			return nil
-		},
-		func(u, v int, w float64) error {
-			_, err := g.AddEdgeW(u, v, w)
-			return err
-		})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// ReadCSR decodes a graph from r directly into a CSR snapshot. Unlike
-// Read-then-BuildCSR, only the flat edge list and the final CSR arrays are
-// ever live — there is no intermediate per-vertex adjacency — which is the
-// difference between one copy and two when ingesting 10^6-node graphs.
-func ReadCSR(r io.Reader) (*CSR, error) {
 	var (
 		hdr   StreamHeader
 		edges []Edge
@@ -262,7 +237,6 @@ func ReadCSR(r io.Reader) (*CSR, error) {
 	err := StreamEdges(r,
 		func(h StreamHeader) error {
 			hdr = h
-			edges = make([]Edge, 0, h.M)
 			return nil
 		},
 		func(u, v int, w float64) error {
@@ -272,7 +246,24 @@ func ReadCSR(r io.Reader) (*CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewCSR(hdr.N, hdr.Weighted, edges)
+	g := New(hdr.N)
+	g.weighted = hdr.Weighted
+	// Edge i gets ID i, so AddEdgeW's append overwrites the buffered edge
+	// the loop has just copied out: the buffer becomes the edge list.
+	g.edges = edges[:0]
+	for _, e := range edges {
+		if _, err := g.AddEdgeW(e.U, e.V, e.W); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// checkWeight is CheckWeight without a graph value, for the streaming
+// reader and writer.
+func checkWeight(weighted bool, w float64) error {
+	tmp := Graph{weighted: weighted}
+	return CheckWeight(&tmp, w)
 }
 
 // nextContentLine advances to the next non-blank, non-comment line and

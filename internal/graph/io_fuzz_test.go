@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzReadStream cross-checks the three readers on arbitrary input: whenever
-// the materialized Read accepts a byte string, StreamEdges and ReadCSR must
-// accept it too and agree on the result, and re-serializing must round-trip.
-// Whenever Read rejects, the streaming readers must reject as well (the only
-// check Read adds over StreamEdges is duplicate detection, which ReadCSR and
-// NewCSR share). None of the three may panic on garbage.
+// FuzzReadStream cross-checks the two readers on arbitrary input: Read must
+// accept exactly the streams StreamEdges accepts that hold no duplicate
+// edge, must return the streamed edges in order as edge IDs 0..m-1, and what
+// it accepts must round-trip through Write. Neither may panic on garbage,
+// and Read must reject a malformed stream before it sizes anything from the
+// header.
 func FuzzReadStream(f *testing.F) {
 	f.Add([]byte("graph 3 2 unweighted\n0 1\n1 2\n"))
 	f.Add([]byte("graph 4 3 weighted\n0 1 0.5\n1 2 5e-324\n2 3 1e300\n"))
@@ -25,48 +25,59 @@ func FuzzReadStream(f *testing.F) {
 	f.Add([]byte("graph 3 1 unweighted\n1 1\n"))
 	f.Add([]byte("graph 3 1 weighted\n0 1 NaN\n"))
 	f.Add([]byte("graph 3 1 weighted\n0 1 +Inf\n"))
+	// A malformed stream behind a header claiming 10^9 vertices: Read used
+	// to allocate the adjacency before reaching the bad line.
+	f.Add([]byte("graph 1000010000 2 unweighted\n0 0\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Cap the claimed vertex count so a 10-byte input can't make the
-		// fuzzer allocate gigabytes for adjacency arrays.
-		var hdr StreamHeader
-		peek := StreamEdges(bytes.NewReader(data), func(h StreamHeader) error {
-			hdr = h
-			return nil
-		}, func(u, v int, w float64) error { return nil })
-		if peek == nil && (hdr.N > 1_000_000 || hdr.M > 1_000_000) {
+		var (
+			hdr   StreamHeader
+			edges []Edge
+		)
+		streamErr := StreamEdges(bytes.NewReader(data),
+			func(h StreamHeader) error {
+				hdr = h
+				return nil
+			},
+			func(u, v int, w float64) error {
+				if u > v {
+					u, v = v, u
+				}
+				edges = append(edges, Edge{U: u, V: v, W: w})
+				return nil
+			})
+		// A well-formed stream may honestly claim a graph too large to
+		// materialize here; malformed ones must be rejected whatever their
+		// header says.
+		if streamErr == nil && (hdr.N > 1_000_000 || hdr.M > 1_000_000) {
 			t.Skip("header demands oversized graph")
+		}
+		duplicate := false
+		seen := make(map[[2]int]bool, len(edges))
+		for _, e := range edges {
+			duplicate = duplicate || seen[[2]int{e.U, e.V}]
+			seen[[2]int{e.U, e.V}] = true
 		}
 
 		g, readErr := Read(bytes.NewReader(data))
-		c, csrErr := ReadCSR(bytes.NewReader(data))
-
 		if readErr != nil {
-			// Read rejects a superset of what StreamEdges rejects (duplicate
-			// edges), and ReadCSR rejects exactly that superset.
-			if csrErr == nil {
-				t.Fatalf("Read rejected (%v) but ReadCSR accepted", readErr)
+			if streamErr == nil && !duplicate {
+				t.Fatalf("Read rejected (%v) a duplicate-free stream StreamEdges accepted", readErr)
 			}
 			return
 		}
-		if peek != nil {
-			t.Fatalf("Read accepted but StreamEdges rejected: %v", peek)
+		if streamErr != nil {
+			t.Fatalf("Read accepted but StreamEdges rejected: %v", streamErr)
 		}
-		if csrErr != nil {
-			t.Fatalf("Read accepted but ReadCSR rejected: %v", csrErr)
+		if duplicate {
+			t.Fatal("Read accepted a stream with a duplicate edge")
 		}
-		if c.N() != g.N() || c.M() != g.M() || c.Weighted() != g.Weighted() {
-			t.Fatalf("ReadCSR %v disagrees with Read %v", c, g)
+		if g.N() != hdr.N || g.M() != len(edges) || g.Weighted() != hdr.Weighted {
+			t.Fatalf("Read %v disagrees with stream header %+v and %d edges", g, hdr, len(edges))
 		}
-		for u := 0; u < g.N(); u++ {
-			ga, ca := g.Adj(u), c.Adj(u)
-			if len(ga) != len(ca) {
-				t.Fatalf("Adj(%d): csr degree %d, graph degree %d", u, len(ca), len(ga))
-			}
-			for i := range ga {
-				if ga[i] != ca[i] {
-					t.Fatalf("Adj(%d)[%d]: csr %v, graph %v", u, i, ca[i], ga[i])
-				}
+		for id, e := range edges {
+			if g.Edge(id) != e {
+				t.Fatalf("Edge(%d): Read %v, stream %v", id, g.Edge(id), e)
 			}
 		}
 

@@ -80,12 +80,14 @@ func TestReadErrors(t *testing.T) {
 		{"truncated edges", "graph 3 2 unweighted\n0 1\n"},
 		{"bad endpoint", "graph 3 1 unweighted\n0 x\n"},
 		{"out of range endpoint", "graph 3 1 unweighted\n0 7\n"},
+		{"negative endpoint", "graph 3 1 unweighted\n-1 2\n"},
 		{"self loop", "graph 3 1 unweighted\n1 1\n"},
 		{"duplicate edge", "graph 3 2 unweighted\n0 1\n1 0\n"},
 		{"missing weight field", "graph 3 1 weighted\n0 1\n"},
 		{"extra field unweighted", "graph 3 1 unweighted\n0 1 2.0\n"},
 		{"bad weight", "graph 3 1 weighted\n0 1 heavy\n"},
 		{"negative weight", "graph 3 1 weighted\n0 1 -4\n"},
+		{"nan weight", "graph 3 1 weighted\n0 1 NaN\n"},
 		{"trailing content", "graph 2 1 unweighted\n0 1\n0 1\n"},
 	}
 	for _, tc := range tests {

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -125,10 +126,10 @@ type ChurnTraceResponse struct {
 
 // HandlerOptions tunes NewHTTPHandlerOpts beyond the oracle itself.
 type HandlerOptions struct {
-	// QueryTimeout bounds one /query's serving time: past it the client
-	// gets 503 instead of an unbounded wait (the search keeps running in
-	// the background until it finishes, but nobody waits for it). 0 means
-	// no bound.
+	// QueryTimeout bounds one /query's serving time: a cache miss whose
+	// search is still running at the deadline stops there, and the client
+	// gets 503. A client that goes away stops the search the same way. 0
+	// means no bound beyond the request's own lifetime.
 	QueryTimeout time.Duration
 	// Ready gates /readyz alongside the oracle's own degraded flag. nil
 	// means always ready. cmd/ftserve wires startup/recovery completion and
@@ -217,33 +218,21 @@ func NewHTTPHandlerOpts(o *Oracle, opts HandlerOptions) http.Handler {
 			// an HTTP response may alias a shared cache entry.
 			CopyPath: true,
 		}
-		var res QueryResult
+		ctx := r.Context()
 		if opts.QueryTimeout > 0 {
-			type answer struct {
-				res QueryResult
-				err error
-			}
-			done := make(chan answer, 1)
-			go func() {
-				res, err := o.Query(req.U, req.V, qopts)
-				done <- answer{res, err}
-			}()
-			timer := time.NewTimer(opts.QueryTimeout)
-			defer timer.Stop()
-			select {
-			case a := <-done:
-				res, err = a.res, a.err
-			case <-timer.C:
-				writeJSON(w, http.StatusServiceUnavailable, errorResponse{fmt.Sprintf("query deadline %s exceeded", opts.QueryTimeout)})
-				return
-			case <-r.Context().Done():
-				writeJSON(w, http.StatusServiceUnavailable, errorResponse{"request canceled"})
-				return
-			}
-		} else {
-			res, err = o.Query(req.U, req.V, qopts)
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, opts.QueryTimeout)
+			defer cancel()
 		}
-		if err != nil {
+		res, err := o.QueryContext(ctx, req.U, req.V, qopts)
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{fmt.Sprintf("query deadline %s exceeded", opts.QueryTimeout)})
+			return
+		case errors.Is(err, context.Canceled):
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{"request canceled"})
+			return
+		case err != nil:
 			writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
 			return
 		}

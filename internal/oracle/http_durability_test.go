@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -166,10 +167,19 @@ func TestQueryDeadlineMapsTo503(t *testing.T) {
 		t.Fatalf("error %q", body.Error)
 	}
 	// A sane deadline serves normally.
-	srv2 := httptest.NewServer(NewHTTPHandlerOpts(o, HandlerOptions{QueryTimeout: 10 * time.Second}))
+	h := NewHTTPHandlerOpts(o, HandlerOptions{QueryTimeout: 10 * time.Second})
+	srv2 := httptest.NewServer(h)
 	defer srv2.Close()
 	if code := getCode(t, srv2.URL+"/query?u=0&v=5", nil); code != http.StatusOK {
 		t.Fatalf("status %d, want 200", code)
+	}
+	// A client that has gone away stops the search too.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?u=0&v=6&no_cache=1", nil).WithContext(ctx))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "request canceled") {
+		t.Fatalf("canceled request: %d %s, want 503 request canceled", rec.Code, rec.Body.String())
 	}
 }
 

@@ -50,6 +50,7 @@ package oracle
 
 import (
 	"cmp"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -548,14 +549,24 @@ func (o *Oracle) canonFaultSet(opts QueryOptions) (string, error) {
 	return "", fmt.Errorf("oracle: invalid mode %v", o.cfg.Mode)
 }
 
-// Query answers a distance/path query under the fault set of opts,
+// Query is QueryContext with a context that never ends: every miss runs its
+// search to completion.
+func (o *Oracle) Query(u, v int, opts QueryOptions) (QueryResult, error) {
+	return o.QueryContext(context.Background(), u, v, opts)
+}
+
+// QueryContext answers a distance/path query under the fault set of opts,
 // lock-free: it loads the published snapshot once and runs entirely
 // against it, so concurrent Apply batches never delay it. Hot path: a
 // cache hit is one shard map lookup (served labeled with the entry's own
-// epoch); a miss borrows a pooled searcher from the source vertex's
-// partition and runs one targeted BFS (unweighted) or Dijkstra (weighted)
-// on the snapshot's spanner minus the fault mask.
-func (o *Oracle) Query(u, v int, opts QueryOptions) (QueryResult, error) {
+// epoch) and never looks at ctx; a miss borrows a pooled searcher from the
+// source vertex's partition and runs one targeted BFS (unweighted) or
+// Dijkstra (weighted) on the snapshot's spanner minus the fault mask.
+//
+// The search itself stops when ctx ends: a miss whose ctx is already done,
+// or ends mid-search, returns ctx.Err() (context.DeadlineExceeded or
+// context.Canceled), caches nothing, and hands its searcher back clean.
+func (o *Oracle) QueryContext(ctx context.Context, u, v int, opts QueryOptions) (QueryResult, error) {
 	// obs.Now, not time.Now: the raw monotonic stamp costs half a clock
 	// read less, which matters on a hit path that is itself ~80ns.
 	start := obs.Now()
@@ -589,6 +600,9 @@ func (o *Oracle) Query(u, v int, opts QueryOptions) (QueryResult, error) {
 		o.misses.Add(1)
 	}
 
+	if err := ctx.Err(); err != nil {
+		return QueryResult{}, err
+	}
 	h := snap.spanner
 	shard := partition(u, o.n)
 	s := o.getSearcher(shard)
@@ -605,25 +619,27 @@ func (o *Oracle) Query(u, v int, opts QueryOptions) (QueryResult, error) {
 			}
 		}
 	}
-	var (
-		dist  float64
-		pathV []int
-	)
-	// Both branches run unidirectional Dijkstra, so the served distance is
-	// the same left-to-right float sum CheckServedAnswer recomputes —
-	// bidirectional search would differ in the last ULP and fail
-	// verification.
+	radius := math.Inf(1)
 	if opts.MaxDistance > 0 {
-		dist, pathV, _ = s.DistPathWithin(h, u, v, opts.MaxDistance)
-	} else {
-		dist, pathV, _ = s.DistPath(h, u, v)
+		radius = opts.MaxDistance
 	}
+	// The search is unidirectional, so the served distance is the same
+	// left-to-right float sum CheckServedAnswer recomputes — bidirectional
+	// search would differ in the last ULP and fail verification.
+	s.StopOn(ctx.Done())
+	dist, pathV, _ := s.DistPathWithin(h, u, v, radius)
 	var path []int
 	if !math.IsInf(dist, 1) {
 		path = append(path, pathV...) // copy off the searcher's buffer
 	}
+	s.StopOn(nil)
 	s.ResetBlocked()
 	o.pools[shard].put(s)
+	if err := ctx.Err(); err != nil {
+		// The search may have been cut short: its answer is not trusted,
+		// served, or cached.
+		return QueryResult{}, err
+	}
 
 	if useCache {
 		o.cache.put(key, cacheEntry{epoch: snap.epoch, dist: dist, path: path}, uint64(o.retain))

@@ -1,7 +1,6 @@
 package sp
 
 import (
-	"math"
 	"runtime"
 
 	"ftspanner/internal/graph"
@@ -101,7 +100,15 @@ type Searcher struct {
 	// search records the vertices whose adjacency rows it scanned.
 	logExpanded bool
 	expanded    []int
+
+	// stop, when closed, aborts the one-ended searches (see StopOn).
+	stop <-chan struct{}
 }
+
+// stopPoll is how many heap pops (Dijkstra) or dequeues (BFS) pass between
+// two polls of the stop channel: rare enough to cost nothing measurable,
+// frequent enough that a stop lands within microseconds.
+const stopPoll = 1024
 
 type heapItem struct {
 	v int
@@ -249,6 +256,25 @@ func (s *Searcher) StopExpandedLog() []int {
 	return s.expanded
 }
 
+// StopOn makes the one-ended searches — Dijkstra and BFS, and so Dist,
+// DistPath and their Within forms — poll stop every stopPoll heap pops or
+// dequeues and abandon the search once it is closed. An abandoned search
+// reports every vertex unreached, so its caller must consult the stop's
+// source (a context's Err, say) before trusting an unreachable answer.
+// nil, the default, never stops. The two-ended PathWithin behind every LBC
+// pass never polls, so a build cannot be cut short.
+func (s *Searcher) StopOn(stop <-chan struct{}) { s.stop = stop }
+
+// stopped reports whether the stop channel is closed.
+func (s *Searcher) stopped() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // BFSBounded computes hop distances from src in g minus the Searcher's
 // fault mask, truncated at maxHops exactly like the package-level
 // BFSBounded: vertices farther than maxHops stay Unreachable. Read results
@@ -273,6 +299,10 @@ func (s *Searcher) bfs(g graph.View, src, maxHops, target int) {
 	q := s.queue[:0]
 	q = append(q, src)
 	for head := 0; head < len(q); head++ {
+		if head&(stopPoll-1) == stopPoll-1 && s.stopped() {
+			s.bumpSearch() // report every vertex unreached
+			break
+		}
 		u := q[head]
 		du := s.dist[u]
 		if du >= maxHops {
@@ -343,28 +373,7 @@ func (s *Searcher) PathTo(v int) (vertices, edgeIDs []int, ok bool) {
 // returns (+Inf, nil, nil). Like PathWithin, the slices alias the Searcher's
 // path buffers and are valid only until the next call.
 func (s *Searcher) DistPath(g graph.View, u, v int) (dist float64, vertices, edgeIDs []int) {
-	s.Grow(g.N(), g.EdgeIDLimit())
-	if u == v {
-		if s.VertexBlocked(u) {
-			return Inf, nil, nil
-		}
-		s.pathV = append(s.pathV[:0], u)
-		return 0, s.pathV, nil
-	}
-	if g.Weighted() {
-		s.dijkstra(g, u, v, Inf)
-		if d := s.WeightTo(v); !math.IsInf(d, 1) {
-			pv, pe, _ := s.PathTo(v)
-			return d, pv, pe
-		}
-		return Inf, nil, nil
-	}
-	s.bfs(g, u, math.MaxInt, v)
-	if d := s.HopDistTo(v); d != Unreachable {
-		pv, pe, _ := s.PathTo(v)
-		return float64(d), pv, pe
-	}
-	return Inf, nil, nil
+	return s.DistPathWithin(g, u, v, Inf)
 }
 
 // Dijkstra computes weighted shortest-path distances from src in g minus
@@ -398,7 +407,11 @@ func (s *Searcher) dijkstra(g graph.View, src, target int, radius float64) {
 	s.parentV[src] = -1
 	s.parentE[src] = -1
 	s.hpush(heapItem{v: src, d: 0})
-	for len(s.heap) > 0 {
+	for pops := 1; len(s.heap) > 0; pops++ {
+		if pops&(stopPoll-1) == 0 && s.stopped() {
+			s.bumpSearch() // report every vertex unreached
+			return
+		}
 		it := s.hpop()
 		u := it.v
 		if s.done[u] == e {
@@ -433,22 +446,7 @@ func (s *Searcher) dijkstra(g graph.View, src, target int, radius float64) {
 // otherwise, +Inf if unreachable. It agrees exactly with the package-level
 // Dist on both graph kinds.
 func (s *Searcher) Dist(g graph.View, u, v int) float64 {
-	s.Grow(g.N(), g.EdgeIDLimit())
-	if u == v {
-		if s.VertexBlocked(u) {
-			return Inf
-		}
-		return 0
-	}
-	if g.Weighted() {
-		s.dijkstra(g, u, v, Inf)
-		return s.WeightTo(v)
-	}
-	s.bfs(g, u, math.MaxInt, v)
-	if d := s.HopDistTo(v); d != Unreachable {
-		return float64(d)
-	}
-	return Inf
+	return s.DistWithin(g, u, v, Inf)
 }
 
 // hpush / hpop implement a plain binary min-heap on the scratch slice.

@@ -429,3 +429,54 @@ func TestNewSearchersDefaultWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestSearcherStopOn: a closed stop channel cuts a large Dijkstra and a
+// large BFS short — every vertex reads unreached — while the two-ended
+// PathWithin of the LBC passes ignores it, and StopOn(nil) restores exact
+// results on the same searcher.
+func TestSearcherStopOn(t *testing.T) {
+	g, err := gen.Grid(100, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := gen.UniformWeights(rand.New(rand.NewSource(9)), g, 1, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := g.N() - 1
+	ref := NewSearcher(0, 0)
+	wantPath, _, _ := ref.PathWithin(g, 0, far, math.MaxInt)
+	wantPath = slices.Clone(wantPath)
+
+	s := NewSearcher(0, 0)
+	closed := make(chan struct{})
+	close(closed)
+	s.StopOn(closed)
+	if d := s.Dist(g, 0, far); !math.IsInf(d, 1) {
+		t.Errorf("stopped BFS Dist = %v, want +Inf", d)
+	}
+	s.BFSBounded(g, 0, math.MaxInt)
+	if d := s.HopDistTo(far); d != Unreachable {
+		t.Errorf("stopped BFSBounded reached the far corner at %d hops", d)
+	}
+	if d, pv, _ := s.DistPath(w, 0, far); !math.IsInf(d, 1) || pv != nil {
+		t.Errorf("stopped Dijkstra DistPath = %v, %v, want +Inf, nil", d, pv)
+	}
+	s.Dijkstra(w, 0)
+	for v := 0; v < w.N(); v++ {
+		if !math.IsInf(s.WeightTo(v), 1) {
+			t.Fatalf("stopped Dijkstra left vertex %d labeled %v", v, s.WeightTo(v))
+		}
+	}
+	if got, _, ok := s.PathWithin(g, 0, far, math.MaxInt); !ok || !slices.Equal(got, wantPath) {
+		t.Errorf("PathWithin under a closed stop = %v, %v, want %v", got, ok, wantPath)
+	}
+
+	s.StopOn(nil)
+	if got, want := s.Dist(g, 0, far), Dist(g, 0, far, Blocked{}); got != want {
+		t.Errorf("BFS Dist after StopOn(nil) = %v, want %v", got, want)
+	}
+	if got, want := s.Dist(w, 0, far), Dist(w, 0, far, Blocked{}); got != want {
+		t.Errorf("Dijkstra Dist after StopOn(nil) = %v, want %v", got, want)
+	}
+}
